@@ -656,13 +656,9 @@ where
                 r => unreachable!("marker answered {r:?}"),
             }
         }
-        repair_torn(&mut parts, self.seed);
         #[cfg(debug_assertions)]
         check_cut(&parts);
-        let mut map = BTreeMap::new();
-        for p in &mut parts {
-            map.append(&mut p.map);
-        }
+        let map = assemble(&parts, self.seed);
         Snapshot { epoch, map, marker_positions }
     }
 
@@ -707,6 +703,22 @@ fn resp_version<K: Ord, V>(resp: &ShardResp<K, V>) -> u64 {
     }
 }
 
+/// The global map of one cut: the union of the parts' maps (keys are
+/// disjoint across shards), built in one sorted collect over the
+/// shared captures, then torn-multi repaired ([`repair_torn`]).
+fn assemble<K, V>(parts: &[SnapPart<K, V>], seed: u64) -> BTreeMap<K, V>
+where
+    K: Clone + Ord + Hash + Debug,
+    V: Clone + Eq + Hash + Debug,
+{
+    let mut map: BTreeMap<K, V> = parts
+        .iter()
+        .flat_map(|p| p.map.iter().map(|(k, v)| (k.clone(), v.clone())))
+        .collect();
+    repair_torn(parts, &mut map, seed);
+    map
+}
+
 /// Torn-multi repair: a multi-op committed in one part must be applied
 /// in every involved part of the same cut.
 ///
@@ -715,9 +727,9 @@ fn resp_version<K: Ord, V>(resp: &ShardResp<K, V>) -> u64 {
 /// shows the commit, the cut's stamp-rule consistency guarantees every
 /// other involved part contains at least the `Prepare` (pending) if
 /// not the commit itself. The repair applies the pending descriptor's
-/// local writes, which is exactly what that shard's `Resolve` will do
-/// after the cut. Multi-ops pending in every part are consistently
-/// *excluded*.
+/// writes routed to that part's shard to the assembled `map`, which is
+/// exactly what that shard's `Resolve` will do after the cut. Multi-ops
+/// pending in every part are consistently *excluded*.
 ///
 /// Captures carry only the *unsettled* commit window, so the scan here
 /// is over in-flight multi-ops, not all commits ever. A part that has
@@ -726,7 +738,7 @@ fn resp_version<K: Ord, V>(resp: &ShardResp<K, V>) -> u64 {
 /// reach a part whose cut-mates still show the multi pending, because
 /// settles obey the stamp rule and are decided only after every
 /// involved resolve (see `ShardState::unsettled`).
-fn repair_torn<K, V>(parts: &mut [SnapPart<K, V>], seed: u64)
+fn repair_torn<K, V>(parts: &[SnapPart<K, V>], map: &mut BTreeMap<K, V>, seed: u64)
 where
     K: Clone + Ord + Hash + Debug,
     V: Clone + Eq + Hash + Debug,
@@ -734,18 +746,17 @@ where
     let nshards = parts.len();
     // Commit verdicts still repair-relevant in the cut: id → involved
     // shards.
-    let mut committed: BTreeMap<MultiId, Vec<usize>> = BTreeMap::new();
-    for p in parts.iter() {
+    let mut committed: BTreeMap<MultiId, &[usize]> = BTreeMap::new();
+    for p in parts {
         for (id, shards) in &p.unsettled {
-            committed.entry(*id).or_insert_with(|| shards.clone());
+            committed.entry(*id).or_insert(shards);
         }
     }
-    for (id, shards) in &committed {
+    for (id, shards) in committed {
         for &t in shards {
-            let part = &mut parts[t];
-            let Some(pm) = part.pending.remove(id) else {
+            let Some(pm) = parts[t].pending.get(&id) else {
                 // Already resolved here (settled or not): the writes
-                // are in `part.map`.
+                // are in the part's map.
                 continue;
             };
             for (k, w) in &pm.desc.writes {
@@ -754,14 +765,13 @@ where
                 }
                 match w {
                     Some(v) => {
-                        part.map.insert(k.clone(), v.clone());
+                        map.insert(k.clone(), v.clone());
                     }
                     None => {
-                        part.map.remove(k);
+                        map.remove(k);
                     }
                 }
             }
-            part.unsettled.insert(*id, pm.desc.shards.clone());
         }
     }
 }
@@ -1009,6 +1019,49 @@ mod tests {
             a.put(k, k as i64);
             assert_eq!(b.get(&k), Some(k as i64), "b reads a's completed put");
         }
+    }
+
+    /// Torn-multi repair on hand-built parts. Multi `m` is committed on
+    /// shard A (in A's unsettled window, its A-side write in A's map)
+    /// but still pending on shard B, where it writes one key and
+    /// removes another: the assembled map must carry both B-side
+    /// effects. Multi `n` is pending in every part: none of its writes
+    /// may appear.
+    #[test]
+    fn torn_multi_is_repaired_from_the_pending_side() {
+        let seed = 0x7e57;
+        let on = |shard: usize| (0u64..).filter(move |k| route(seed, 2, k) == shard);
+        let mut keys_a = on(0);
+        let mut keys_b = on(1);
+        let (a_m, a_n) = (keys_a.next().unwrap(), keys_a.next().unwrap());
+        let (b_put, b_del, b_n) =
+            (keys_b.next().unwrap(), keys_b.next().unwrap(), keys_b.next().unwrap());
+        let pending = |id: u64, writes: &[(u64, Option<i64>)]| {
+            let desc = MultiDesc {
+                id: MultiId(id),
+                expects: BTreeMap::new(),
+                writes: writes.iter().copied().collect(),
+                shards: vec![0, 1],
+            };
+            (desc.id, PendingMulti { desc, vote: true })
+        };
+        let m = pending(1, &[(a_m, Some(10)), (b_put, Some(11)), (b_del, None)]);
+        let n = pending(2, &[(a_n, Some(20)), (b_n, Some(21))]);
+        let part = |map: &[(u64, i64)], pending: Vec<_>, unsettled: &[MultiId]| SnapPart {
+            epoch: 1,
+            map: Arc::new(map.iter().copied().collect()),
+            pending: pending.into_iter().collect(),
+            unsettled: unsettled.iter().map(|&id| (id, vec![0, 1])).collect(),
+            version: 0,
+            know: vec![0, 0],
+        };
+        let parts = [
+            part(&[(a_m, 10)], vec![n.clone()], &[m.0]),
+            part(&[(b_del, 1), (b_n, 2)], vec![m, n], &[]),
+        ];
+        let map = assemble(&parts, seed);
+        let want: BTreeMap<u64, i64> = [(a_m, 10), (b_put, 11), (b_n, 2)].into_iter().collect();
+        assert_eq!(map, want, "m repaired on B (remove included), n excluded everywhere");
     }
 
     #[test]

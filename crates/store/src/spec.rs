@@ -48,11 +48,20 @@
 //! All maps are `BTreeMap`/`BTreeSet` (not hash maps): the state must
 //! be `Eq + Hash` for the linearizability checker, and iteration order
 //! must be deterministic for replay.
+//!
+//! The key→value map sits behind an `Arc` and is copied on write: every
+//! client replays every marker into its own replica (Herlihy §4.1), so a
+//! capture must cost O(1), not O(|map|), in each of them. A capture
+//! shares the map; the first write that meets a still-alive capture
+//! copies it once (`Arc::make_mut`), and a replica whose capture is
+//! already dropped — a non-owner's marker response, discarded as soon
+//! as replay applies it — mutates in place.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use waitfree_model::{ObjectSpec, Pid};
 
@@ -130,7 +139,10 @@ pub struct PendingMulti<K: Ord, V> {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SnapPart<K: Ord, V> {
     pub epoch: u64,
-    pub map: BTreeMap<K, V>,
+    /// The shard's map at the cut, shared with the replica that took
+    /// the capture: the replica's next write copies the map instead of
+    /// mutating this one (module docs).
+    pub map: Arc<BTreeMap<K, V>>,
     /// Multi-ops prepared but not yet resolved at the cut. Snapshot
     /// assembly patches these against `unsettled` elsewhere (torn-multi
     /// repair) — see [`crate::ShardedStore`] docs.
@@ -230,7 +242,9 @@ pub struct ShardState<K: Ord, V, M> {
     seed: u64,
     /// Mutation counter: bumped by every state-changing transition.
     version: u64,
-    map: BTreeMap<K, V>,
+    /// Copy-on-write: shared with every live capture of this replica,
+    /// mutated only through `Arc::make_mut` (module docs).
+    map: Arc<BTreeMap<K, V>>,
     /// Key → holder of in-flight multi-op locks. A key appears here iff
     /// its holder is in `pending`.
     locks: BTreeMap<K, MultiId>,
@@ -344,7 +358,7 @@ where
             nshards,
             seed,
             version: 0,
-            map: BTreeMap::new(),
+            map: Arc::new(BTreeMap::new()),
             locks: BTreeMap::new(),
             pending: BTreeMap::new(),
             applied: BTreeSet::new(),
@@ -359,14 +373,17 @@ where
         }
     }
 
-    /// Photograph the capture-relevant state *now*. Only the unsettled
-    /// commit window rides along — settled commits cannot be torn in
-    /// any cut that could contain this capture (see `unsettled`), so
-    /// captures stay proportional to in-flight work, not history.
+    /// Photograph the capture-relevant state *now*, for a marker or an
+    /// early capture. The map is shared, not copied — a refcount bump;
+    /// the replica's next write copies it if this capture is still
+    /// alive. Only the unsettled commit window rides along — settled
+    /// commits cannot be torn in any cut that could contain this
+    /// capture (see `unsettled`), so the rest of the capture stays
+    /// proportional to in-flight work, not history.
     fn part_now(&self, epoch: u64) -> SnapPart<K, V> {
         SnapPart {
             epoch,
-            map: self.map.clone(),
+            map: Arc::clone(&self.map),
             pending: self.pending.clone(),
             unsettled: self.unsettled.clone(),
             version: self.version,
@@ -465,18 +482,22 @@ where
         Ok((vals, self.version))
     }
 
+    /// Write (`Some`) or remove (`None`) one key, returning the previous
+    /// value. Every map mutation goes through here, and so through
+    /// `Arc::make_mut`: the map is copied only if a capture still
+    /// shares it (module docs).
+    fn write(&mut self, key: &K, val: Option<V>) -> Option<V> {
+        let map = Arc::make_mut(&mut self.map);
+        match val {
+            Some(v) => map.insert(key.clone(), v),
+            None => map.remove(key),
+        }
+    }
+
     fn apply_writes_of(&mut self, desc: &MultiDesc<K, V>) {
         for (k, w) in &desc.writes {
-            if route(self.seed, self.nshards, k) != self.shard {
-                continue;
-            }
-            match w {
-                Some(v) => {
-                    self.map.insert(k.clone(), v.clone());
-                }
-                None => {
-                    self.map.remove(k);
-                }
+            if route(self.seed, self.nshards, k) == self.shard {
+                self.write(k, w.clone());
             }
         }
     }
@@ -599,10 +620,7 @@ where
                 if let Some(holder) = self.holder_of(key) {
                     return ShardResp::Blocked { holder, version: self.version };
                 }
-                let prev = match val {
-                    Some(v) => self.map.insert(key.clone(), v.clone()),
-                    None => self.map.remove(key),
-                };
+                let prev = self.write(key, val.clone());
                 self.version += 1;
                 ShardResp::Prev { prev, version: self.version }
             }
@@ -614,14 +632,7 @@ where
                 let prev = self.map.get(key).cloned();
                 let ok = prev == *expect;
                 if ok {
-                    match new {
-                        Some(v) => {
-                            self.map.insert(key.clone(), v.clone());
-                        }
-                        None => {
-                            self.map.remove(key);
-                        }
-                    }
+                    self.write(key, new.clone());
                     self.version += 1;
                 }
                 ShardResp::CasResult { ok, prev, version: self.version }
@@ -632,14 +643,7 @@ where
                     return ShardResp::Blocked { holder, version: self.version };
                 }
                 let prev = self.map.get(key).cloned();
-                match merge.merge(prev.as_ref()) {
-                    Some(v) => {
-                        self.map.insert(key.clone(), v);
-                    }
-                    None => {
-                        self.map.remove(key);
-                    }
-                }
+                self.write(key, merge.merge(prev.as_ref()));
                 self.version += 1;
                 ShardResp::Prev { prev, version: self.version }
             }
@@ -761,6 +765,73 @@ mod tests {
         assert_eq!(st.early.len(), 0);
         assert_eq!(st.snap_floor, 4);
         assert_eq!(st.snap_done.ranges(), 0);
+    }
+
+    /// Copy-on-write isolation. A capture — by marker or early — shares
+    /// the replica's map. Each map-writing path (`Put`, successful
+    /// `Cas`, `Update`, committing `Resolve`) then copies it, so the
+    /// capture keeps the cut's contents while the replica moves on.
+    /// Reads, a failed `Cas`, `Prepare` and `Settle` leave it shared.
+    /// With no capture alive, a write mutates the map in place.
+    #[test]
+    fn captures_share_the_map_until_a_write_copies_it() {
+        type Sb = ShardState<u64, i64, Bump>;
+        let d = MultiDesc {
+            id: MultiId(7),
+            expects: BTreeMap::new(),
+            writes: [(4, Some(40)), (1, None)].into_iter().collect(),
+            shards: vec![0],
+        };
+        let failed_cas =
+            |epoch| ShardOp::Cas { key: 2, expect: Some(-1), new: None, ctx: ctx(epoch) };
+        for early in [false, true] {
+            let mut st = Sb::new(0, 1, 0);
+            st.apply(Pid(0), &ShardOp::Put { key: 1, val: Some(1), ctx: ctx(0) });
+            let writes = [
+                (ShardOp::Put { key: 2, val: Some(20), ctx: ctx(0) }, 2, 20),
+                (ShardOp::Cas { key: 2, expect: Some(20), new: Some(21), ctx: ctx(0) }, 2, 21),
+                (ShardOp::Update { key: 3, merge: Bump(5), ctx: ctx(0) }, 3, 5),
+                (ShardOp::Resolve { id: d.id, commit: true, ctx: ctx(0) }, 4, 40),
+            ];
+            for (e, (write, key, val)) in (1u64..).zip(writes) {
+                let captured = if early {
+                    // A failed cas stamped `e` reveals epoch `e` before
+                    // its marker: the early capture itself copies nothing.
+                    st.apply(Pid(0), &failed_cas(e));
+                    Arc::clone(&st.early[&e].map)
+                } else {
+                    part(st.apply(Pid(0), &ShardOp::Marker { epoch: e })).map
+                };
+                assert!(Arc::ptr_eq(&captured, &st.map), "capture shares the map");
+                let before = (*captured).clone();
+                st.apply(Pid(0), &ShardOp::Get { key: 2 });
+                st.apply(Pid(0), &failed_cas(0));
+                st.apply(Pid(0), &ShardOp::Prepare { desc: d.clone(), ctx: ctx(0) });
+                st.apply(Pid(0), &ShardOp::Settle { id: d.id, ctx: ctx(0) });
+                assert!(Arc::ptr_eq(&captured, &st.map), "non-writes leave the map shared");
+                st.apply(Pid(0), &write);
+                assert!(!Arc::ptr_eq(&captured, &st.map), "{write:?} copied the map");
+                assert_eq!(*captured, before, "{write:?} left the capture as it was");
+                assert_eq!(st.map.get(&key), Some(&val), "{write:?} reached the replica");
+                if early {
+                    let p = part(st.apply(Pid(0), &ShardOp::Marker { epoch: e }));
+                    assert!(Arc::ptr_eq(&p.map, &captured), "the marker claims the capture");
+                }
+            }
+            assert_eq!(st.map.get(&1), None, "the resolve's remove reached the replica");
+            // The commit is now unsettled: settling it really mutates
+            // the state, but not the map.
+            let captured = part(st.apply(Pid(0), &ShardOp::Marker { epoch: 5 })).map;
+            assert!(!captured.is_empty());
+            st.apply(Pid(0), &ShardOp::Settle { id: d.id, ctx: ctx(0) });
+            assert!(st.unsettled.is_empty());
+            assert!(Arc::ptr_eq(&captured, &st.map), "settle leaves the map shared");
+            // Once the last capture is dropped, a write needs no copy.
+            drop(captured);
+            let at = Arc::as_ptr(&st.map);
+            st.apply(Pid(0), &ShardOp::Put { key: 9, val: Some(9), ctx: ctx(0) });
+            assert_eq!(Arc::as_ptr(&st.map), at, "an unshared map is written in place");
+        }
     }
 
     /// Reads on a locked key hand back the holder instead of a value —
