@@ -99,7 +99,10 @@ pub mod spec;
 
 pub use model::{StoreModel, StoreOp, StoreResp};
 pub use router::route;
-pub use spec::{Bump, Ctx, Merge, MultiDesc, MultiId, Peek, PendingMulti, ShardOp, ShardResp, ShardState, SnapPart};
+pub use spec::{
+    Bump, Ctx, Know, Merge, MultiDesc, MultiId, Peek, PendingMulti, ShardOp, ShardResp, ShardState,
+    SnapPart,
+};
 
 /// Construction parameters for a [`ShardedStore`].
 #[derive(Clone, Debug)]
@@ -244,7 +247,7 @@ where
             epoch: Arc::clone(&self.epoch),
             multi_seq: Arc::clone(&self.multi_seq),
             seed: self.seed,
-            seen: vec![0; self.shards.len()],
+            seen: Know::new(self.shards.len()),
         }
     }
 }
@@ -275,12 +278,10 @@ where
     epoch: Arc<AtomicU64>,
     multi_seq: Arc<AtomicU64>,
     seed: u64,
-    /// Highest shard versions observed in responses, indexed by shard;
-    /// stamped onto every mutating op for the snapshot cut check. A
-    /// flat vector (shard count is fixed at construction): stamping is
-    /// a memcpy per mutating op, where the former `BTreeMap` re-built
-    /// O(shards) nodes on every `put`/`cas`/`fetch_update`.
-    seen: Vec<u64>,
+    /// Highest shard versions observed in responses; stamped onto every
+    /// mutating op for the snapshot cut check (zero-sized, and free to
+    /// stamp, in builds without that check — see [`Know`]).
+    seen: Know,
 }
 
 impl<K, V, M> StoreHandle<K, V, M>
@@ -295,15 +296,13 @@ where
 
     /// The stamp every mutating op carries: epoch read *now* (before
     /// the invoke — the ordering the snapshot argument needs) plus the
-    /// observed-version vector.
+    /// observed versions.
     fn ctx(&self) -> Ctx {
         Ctx { epoch: self.epoch.load(Ordering::SeqCst), know: self.seen.clone() }
     }
 
     fn observe(&mut self, shard: usize, version: u64) {
-        if version > self.seen[shard] {
-            self.seen[shard] = version;
-        }
+        self.seen.observe(shard, version);
     }
 
     /// Decide `op` into `shard`'s log and record the observed version.
@@ -532,11 +531,14 @@ where
         self.run_multi(&desc)
     }
 
+    /// Build the descriptor of a new multi-op. It is allocated once and
+    /// shared from then on: every prepare entry, every replica's
+    /// `pending` and every `Blocked` answer holds this same `Arc`.
     fn describe(
         &mut self,
         expects: BTreeMap<K, Option<V>>,
         writes: BTreeMap<K, Option<V>>,
-    ) -> MultiDesc<K, V> {
+    ) -> Arc<MultiDesc<K, V>> {
         let n = self.nshards();
         let mut shards: Vec<usize> = expects
             .keys()
@@ -545,12 +547,12 @@ where
             .collect();
         shards.sort_unstable();
         shards.dedup();
-        MultiDesc {
+        Arc::new(MultiDesc {
             id: MultiId(self.multi_seq.fetch_add(1, Ordering::SeqCst)),
             expects,
             writes,
             shards,
-        }
+        })
     }
 
     /// Drive `desc` to resolution — as initiator or helper; the
@@ -568,16 +570,16 @@ where
     /// (snapshot-cost bookkeeping, not correctness: a crash anywhere in
     /// the sweep just leaves the id in some windows until the next
     /// helper of the same multi re-settles).
-    fn run_multi(&mut self, desc: &MultiDesc<K, V>) -> bool {
+    fn run_multi(&mut self, desc: &Arc<MultiDesc<K, V>>) -> bool {
         let mut verdict: Option<bool> = None;
         let mut all = true;
         for &s in &desc.shards {
             if verdict.is_some() {
                 break;
             }
-            // One descriptor clone per shard, not per attempt; retries
-            // re-stamp the ctx only.
-            let mut op = ShardOp::Prepare { desc: desc.clone(), ctx: self.ctx() };
+            // One op per shard, not per attempt (retries re-stamp the ctx
+            // only); the descriptor itself is shared, never copied.
+            let mut op = ShardOp::Prepare { desc: Arc::clone(desc), ctx: self.ctx() };
             // progress: wait-free — a `Blocked` answer is followed by helping
             // the holder to completion, so each shard's prepare retries are
             // bounded by the multi-ops admitted ahead of this one.
@@ -781,11 +783,12 @@ where
 /// what shard `t`'s capture actually contains — `know[s][t] <=
 /// version[t]`, the classic consistent-cut condition (the same
 /// invariant `waitfree_sched::hb`'s vector clocks enforce on memory
-/// traces, applied at shard granularity).
+/// traces, applied at shard granularity). The only reader of [`Know`],
+/// which is why that vector exists only in the builds that run this.
 #[cfg(debug_assertions)]
 fn check_cut<K: Ord, V>(parts: &[SnapPart<K, V>]) {
     for (s, p) in parts.iter().enumerate() {
-        for (t, &known) in p.know.iter().enumerate() {
+        for (t, &known) in p.know.versions().iter().enumerate() {
             let actual = parts.get(t).map_or(0, |q| q.version);
             assert!(
                 known <= actual,
@@ -1043,7 +1046,7 @@ mod tests {
                 writes: writes.iter().copied().collect(),
                 shards: vec![0, 1],
             };
-            (desc.id, PendingMulti { desc, vote: true })
+            (desc.id, PendingMulti { desc: Arc::new(desc), vote: true })
         };
         let m = pending(1, &[(a_m, Some(10)), (b_put, Some(11)), (b_del, None)]);
         let n = pending(2, &[(a_n, Some(20)), (b_n, Some(21))]);
@@ -1053,7 +1056,7 @@ mod tests {
             pending: pending.into_iter().collect(),
             unsettled: unsettled.iter().map(|&id| (id, vec![0, 1])).collect(),
             version: 0,
-            know: vec![0, 0],
+            know: Know::new(2),
         };
         let parts = [
             part(&[(a_m, 10)], vec![n.clone()], &[m.0]),
@@ -1062,6 +1065,31 @@ mod tests {
         let map = assemble(&parts, seed);
         let want: BTreeMap<u64, i64> = [(a_m, 10), (b_put, 11), (b_n, 2)].into_iter().collect();
         assert_eq!(map, want, "m repaired on B (remove included), n excluded everywhere");
+    }
+
+    /// The debug backstop still fires: shard 0's capture knows shard 1
+    /// at version 5, but shard 1's capture is at version 4, so the cut
+    /// contains an effect without its cause.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "inconsistent cut")]
+    fn check_cut_rejects_knowledge_beyond_a_captured_version() {
+        let part = |version: u64, know: Know| SnapPart::<u64, i64> {
+            epoch: 1,
+            map: Arc::new(BTreeMap::new()),
+            pending: BTreeMap::new(),
+            unsettled: BTreeMap::new(),
+            version,
+            know,
+        };
+        let knows_shard_1_at = |version| {
+            let mut know = Know::new(2);
+            know.observe(1, version);
+            know
+        };
+        // Knowledge exactly at the captured version is consistent.
+        check_cut(&[part(3, knows_shard_1_at(4)), part(4, Know::new(2))]);
+        check_cut(&[part(3, knows_shard_1_at(5)), part(4, Know::new(2))]);
     }
 
     #[test]

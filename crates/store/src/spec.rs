@@ -56,6 +56,14 @@
 //! copies it once (`Arc::make_mut`), and a replica whose capture is
 //! already dropped — a non-owner's marker response, discarded as soon
 //! as replay applies it — mutates in place.
+//!
+//! Ops are kept small for the same reason: every decided op stays in
+//! the log, and is replayed into every replica, for the life of the log.
+//! A mutation's [`Ctx`] is the epoch stamp plus a [`Know`] vector that
+//! only the debug-build cut check reads, so release builds carry the
+//! stamp alone. A multi-op descriptor is allocated once by its proposer
+//! and shared by `Arc` from then on: the `Prepare` op, each replica's
+//! `pending` entry and every `Blocked` answer hold the same allocation.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
@@ -73,27 +81,87 @@ use crate::router::route;
 pub struct MultiId(pub u64);
 
 /// Causal context stamped on every mutating op by the invoking client.
+/// It travels inside every decided mutation for the life of the log, so
+/// it carries only what a build reads: in release builds it is the 8-B
+/// epoch stamp alone, because [`Know`] is zero-sized there.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Ctx {
     /// The store epoch counter as read by the client immediately before
     /// this invoke. Drives snapshot early-capture (see module docs).
     pub epoch: u64,
-    /// Shard versions this client has observed (from prior responses),
-    /// indexed by shard — the shard count is fixed at construction, so
-    /// a flat vector copies by memcpy where a `BTreeMap` would
-    /// re-allocate nodes on every mutating op. Merged into
-    /// [`ShardState::know`] so the debug-mode cut check can verify the
-    /// snapshot against real cross-shard dependencies. May be shorter
-    /// than the shard count (a client that has observed nothing sends
-    /// an empty vector); absent entries mean version 0.
-    pub know: Vec<u64>,
+    /// Shard versions this client has observed (from prior responses).
+    /// Merged into the replica's own so the debug-build cut check can
+    /// verify the snapshot against real cross-shard dependencies.
+    pub know: Know,
+}
+
+/// Shard versions observed so far, indexed by shard: a client's (from
+/// its responses), a replica's (merged from every op applied), or a
+/// capture's (the replica's at the cut). The only reader is the snapshot
+/// cut check (`know[s][t] <= version[t]`), which runs in builds with
+/// `debug_assertions`; those builds carry the vector. Other builds carry
+/// a zero-sized stand-in whose updates are no-ops, so release log
+/// entries pay neither its bytes nor its allocation.
+#[cfg(debug_assertions)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct Know(Vec<u64>);
+
+#[cfg(debug_assertions)]
+impl Know {
+    /// Nothing observed yet, on any of `nshards` shards.
+    #[must_use]
+    pub fn new(nshards: usize) -> Self {
+        Know(vec![0; nshards])
+    }
+
+    /// Record that `shard` was seen at `version`.
+    pub fn observe(&mut self, shard: usize, version: u64) {
+        let seen = &mut self.0[shard];
+        *seen = (*seen).max(version);
+    }
+
+    /// Take the entry-wise maximum with `other`.
+    pub fn merge(&mut self, other: &Know) {
+        for (seen, &v) in self.0.iter_mut().zip(&other.0) {
+            *seen = (*seen).max(v);
+        }
+    }
+
+    /// The observed version per shard, in shard order.
+    #[must_use]
+    pub fn versions(&self) -> &[u64] {
+        &self.0
+    }
+}
+
+/// Shard versions observed so far: zero-sized in builds without
+/// `debug_assertions`, where no cut check reads them (see the
+/// debug-build definition). The private field keeps construction to
+/// [`Know::new`], as in debug builds, so callers compile in both.
+#[cfg(not(debug_assertions))]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct Know(());
+
+#[cfg(not(debug_assertions))]
+impl Know {
+    /// Nothing observed (there is nothing to hold).
+    #[must_use]
+    pub fn new(_nshards: usize) -> Self {
+        Know(())
+    }
+
+    /// No-op: nothing reads observed versions in this build.
+    pub fn observe(&mut self, _shard: usize, _version: u64) {}
+
+    /// No-op: nothing reads observed versions in this build.
+    pub fn merge(&mut self, _other: &Know) {}
 }
 
 /// A replica-side read outcome ([`ShardState::peek`]/
 /// [`ShardState::peek_many`]): the value(s) plus the shard version at
 /// the observed frontier, or the descriptor of the multi-op whose lock
 /// blocks the read (for helper completion).
-pub type Peek<T, K, V> = Result<(T, u64), Box<MultiDesc<K, V>>>;
+pub type Peek<T, K, V> = Result<(T, u64), Arc<MultiDesc<K, V>>>;
 
 /// Full description of one multi-key atomic op, replicated to every
 /// involved shard so *any* client holding it can finish the op.
@@ -129,7 +197,8 @@ impl<K: Ord + Hash, V> MultiDesc<K, V> {
 /// A prepared-but-unresolved multi-op on one shard.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PendingMulti<K: Ord, V> {
-    pub desc: MultiDesc<K, V>,
+    /// The descriptor the proposer decided, shared with the log entry.
+    pub desc: Arc<MultiDesc<K, V>>,
     /// This shard's vote, fixed at first prepare: local expectations
     /// held. Immutable thereafter — locks keep the inputs stable.
     pub vote: bool,
@@ -155,9 +224,8 @@ pub struct SnapPart<K: Ord, V> {
     pub unsettled: BTreeMap<MultiId, Vec<usize>>,
     /// Mutation counter at the cut.
     pub version: u64,
-    /// Observed-shard-version vector at the cut, indexed by shard
-    /// (debug cut check).
-    pub know: Vec<u64>,
+    /// Observed shard versions at the cut (debug cut check).
+    pub know: Know,
 }
 
 /// How [`ShardedStore::fetch_update`](crate::ShardedStore) transforms a
@@ -196,14 +264,16 @@ pub enum ShardOp<K: Ord, V, M> {
     Put { key: K, val: Option<V>, ctx: Ctx },
     Cas { key: K, expect: Option<V>, new: Option<V>, ctx: Ctx },
     Update { key: K, merge: M, ctx: Ctx },
-    Prepare { desc: MultiDesc<K, V>, ctx: Ctx },
+    /// The descriptor is shared: every clone of the op (announce,
+    /// collect, log entry, each replica's `pending`) is a refcount bump.
+    Prepare { desc: Arc<MultiDesc<K, V>>, ctx: Ctx },
     Resolve { id: MultiId, commit: bool, ctx: Ctx },
     /// Sent by a resolver *after* it observed `Resolve` acknowledged on
     /// every involved shard: this commit can no longer be torn in any
     /// consistent cut, so drop it from the capture window. Carries a
-    /// `Ctx` so the stamp rule and the knowledge vector order it
-    /// against open snapshots like any other mutation — that ordering
-    /// is what makes dropping it sound (see [`ShardState::unsettled`]).
+    /// `Ctx` so the stamp rule orders it against open snapshots like any
+    /// other mutation — that ordering is what makes dropping it sound
+    /// (see `ShardState::unsettled`); debug builds also check it.
     Settle { id: MultiId, ctx: Ctx },
     Marker { epoch: u64 },
 }
@@ -224,7 +294,7 @@ pub enum ShardResp<K: Ord, V> {
     Resolved { commit: bool, version: u64 },
     /// The key (or a descriptor key) is locked by another in-flight
     /// multi-op; the full holder descriptor enables helping.
-    Blocked { holder: Box<MultiDesc<K, V>>, version: u64 },
+    Blocked { holder: Arc<MultiDesc<K, V>>, version: u64 },
     /// `Resolve` applied (or was already applied).
     Ack { version: u64 },
     /// `Marker` capture.
@@ -264,18 +334,16 @@ pub struct ShardState<K: Ord, V, M> {
     /// [`ShardOp::Settle`] is sound: a settle is decided only after its
     /// sender saw `Resolve` acknowledged on every involved shard, and
     /// it carries a `Ctx`. If a cut includes the settle, the stamp rule
-    /// plus the settle's knowledge vector force the cut to include
-    /// every involved shard's resolve too (a settle stamped at-or-after
-    /// an open epoch early-captures the *pre-settle* state; one stamped
-    /// before the epoch opened implies every resolve finished before
-    /// the epoch opened) — so the commit is whole in that cut and needs
-    /// no repair. Bounded by in-flight multi-ops plus resolvers that
-    /// crashed between their last resolve and their settles (any later
-    /// helper of the same multi re-settles).
+    /// forces the cut to include every involved shard's resolve too (a
+    /// settle stamped at-or-after an open epoch early-captures the
+    /// *pre-settle* state; one stamped before the epoch opened implies
+    /// every resolve finished before the epoch opened) — so the commit
+    /// is whole in that cut and needs no repair. Bounded by in-flight
+    /// multi-ops plus resolvers that crashed between their last resolve
+    /// and their settles (any later helper of the same multi re-settles).
     unsettled: BTreeMap<MultiId, Vec<usize>>,
-    /// Max observed version per shard over all ops applied here,
-    /// indexed by shard (length `nshards` from construction).
-    know: Vec<u64>,
+    /// Max observed version per shard over all ops applied here.
+    know: Know,
     /// Snapshot bookkeeping: every epoch `<= snap_floor` has its marker
     /// applied here; `snap_done` holds marker-applied epochs above the
     /// floor, compressed to ranges so a crashed snapshot (a permanent
@@ -364,7 +432,7 @@ where
             applied: BTreeSet::new(),
             aborted: BTreeSet::new(),
             unsettled: BTreeMap::new(),
-            know: vec![0; nshards],
+            know: Know::new(nshards),
             snap_floor: 0,
             snap_done: EpochSet::default(),
             stamp_hi: 0,
@@ -421,21 +489,18 @@ where
     /// the cut), then merge the client's observed-version vector.
     fn absorb(&mut self, ctx: &Ctx) {
         self.pre_capture(ctx.epoch);
-        for (e, &v) in self.know.iter_mut().zip(&ctx.know) {
-            if v > *e {
-                *e = v;
-            }
-        }
+        self.know.merge(&ctx.know);
     }
 
-    /// The holder descriptor blocking `key`, if any.
-    fn holder_of(&self, key: &K) -> Option<Box<MultiDesc<K, V>>> {
+    /// The holder descriptor blocking `key`, if any: the proposer's own
+    /// descriptor, shared, not copied.
+    fn holder_of(&self, key: &K) -> Option<Arc<MultiDesc<K, V>>> {
         let id = self.locks.get(key)?;
         let pm = self
             .pending
             .get(id)
             .expect("a locked key's holder is pending (lock/pending invariant)");
-        Some(Box::new(pm.desc.clone()))
+        Some(Arc::clone(&pm.desc))
     }
 
     /// Replica-side read of `key` with the same lock discipline as the
@@ -502,7 +567,7 @@ where
         }
     }
 
-    fn prepare(&mut self, desc: &MultiDesc<K, V>) -> ShardResp<K, V> {
+    fn prepare(&mut self, desc: &Arc<MultiDesc<K, V>>) -> ShardResp<K, V> {
         let id = desc.id;
         if self.applied.contains(&id) {
             return ShardResp::Resolved { commit: true, version: self.version };
@@ -532,7 +597,7 @@ where
         for k in local {
             self.locks.insert(k.clone(), id);
         }
-        self.pending.insert(id, PendingMulti { desc: desc.clone(), vote });
+        self.pending.insert(id, PendingMulti { desc: Arc::clone(desc), vote });
         self.version += 1;
         ShardResp::Vote { ok: vote, version: self.version }
     }
@@ -692,16 +757,16 @@ mod tests {
     type St = ShardState<u64, i64, ()>;
 
     fn ctx(epoch: u64) -> Ctx {
-        Ctx { epoch, know: Vec::new() }
+        Ctx { epoch, know: Know::new(1) }
     }
 
-    fn desc(id: u64, writes: &[(u64, i64)]) -> MultiDesc<u64, i64> {
-        MultiDesc {
+    fn desc(id: u64, writes: &[(u64, i64)]) -> Arc<MultiDesc<u64, i64>> {
+        Arc::new(MultiDesc {
             id: MultiId(id),
             expects: BTreeMap::new(),
             writes: writes.iter().map(|&(k, v)| (k, Some(v))).collect(),
             shards: vec![0],
-        }
+        })
     }
 
     fn part(resp: ShardResp<u64, i64>) -> SnapPart<u64, i64> {
@@ -776,12 +841,12 @@ mod tests {
     #[test]
     fn captures_share_the_map_until_a_write_copies_it() {
         type Sb = ShardState<u64, i64, Bump>;
-        let d = MultiDesc {
+        let d = Arc::new(MultiDesc {
             id: MultiId(7),
             expects: BTreeMap::new(),
             writes: [(4, Some(40)), (1, None)].into_iter().collect(),
             shards: vec![0],
-        };
+        });
         let failed_cas =
             |epoch| ShardOp::Cas { key: 2, expect: Some(-1), new: None, ctx: ctx(epoch) };
         for early in [false, true] {
@@ -832,6 +897,37 @@ mod tests {
             st.apply(Pid(0), &ShardOp::Put { key: 9, val: Some(9), ctx: ctx(0) });
             assert_eq!(Arc::as_ptr(&st.map), at, "an unshared map is written in place");
         }
+    }
+
+    /// Every decided entry keeps its op for the life of the log, in every
+    /// replica, so the op stays small: `Cas` (two inline values and a
+    /// key) is the largest variant, and a multi-op descriptor rides
+    /// behind an `Arc`. The descriptor is the proposer's own allocation
+    /// all the way through: the op, the replica's `pending` entry and
+    /// every `Blocked` answer share it.
+    #[test]
+    fn ops_stay_small_and_share_the_proposers_descriptor() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<ShardOp<u64, u64, ()>>() <= size_of::<Ctx>() + 40,
+            "ShardOp is {} B with a {} B Ctx",
+            size_of::<ShardOp<u64, u64, ()>>(),
+            size_of::<Ctx>()
+        );
+
+        let mut st = St::new(0, 1, 0);
+        let d = desc(5, &[(1, 10), (2, 20)]);
+        let op = ShardOp::Prepare { desc: Arc::clone(&d), ctx: ctx(0) };
+        st.apply(Pid(0), &op);
+        assert!(Arc::ptr_eq(&st.pending[&d.id].desc, &d), "prepare stores it uncopied");
+        match st.apply(Pid(0), &ShardOp::Put { key: 2, val: Some(0), ctx: ctx(0) }) {
+            ShardResp::Blocked { holder, .. } => {
+                assert!(Arc::ptr_eq(&holder, &d), "a blocked writer gets it uncopied");
+            }
+            r => panic!("put on a locked key answered {r:?}"),
+        }
+        let peeked = st.peek(&1).expect_err("a locked key blocks the replica read");
+        assert!(Arc::ptr_eq(&peeked, &d), "a blocked reader gets it uncopied");
     }
 
     /// Reads on a locked key hand back the holder instead of a value —

@@ -11,12 +11,16 @@
 //! crashed before claiming leaves nothing. Either way the object keeps
 //! linearizing and the registry stays bounded.
 
+use waitfree::faults::failpoints;
 use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
 use waitfree::sched::thread;
 use waitfree::sync::universal::WfUniversal;
 
 #[test]
 fn concurrent_churn_is_bounded_by_peak_active_not_arrivals() {
+    // The storms below arm process-wide crash failpoints at the
+    // membership sites; run only while none are armed.
+    let _guard = failpoints::exclusive();
     const WORKERS: usize = 4;
     const ROUNDS: usize = 50;
     let obj = WfUniversal::new_dynamic(Counter::new(0), 4);
@@ -65,6 +69,9 @@ fn concurrent_churn_is_bounded_by_peak_active_not_arrivals() {
 
 #[test]
 fn respawned_clients_observe_their_predecessors() {
+    // The storms below arm process-wide crash failpoints at the
+    // membership sites; run only while none are armed.
+    let _guard = failpoints::exclusive();
     // Generations: each client increments, retires, and its successor
     // must observe a strictly larger counter — slot reuse preserves the
     // happened-before chain through the log.
@@ -199,6 +206,9 @@ mod storms {
 
 #[test]
 fn checkpointed_churn_stays_exact_with_bounded_memory() {
+    // The storms below arm process-wide crash failpoints at the
+    // membership sites; run only while none are armed.
+    let _guard = failpoints::exclusive();
     // The tentpole's two bounds at once, under real-thread churn: the
     // registry stays bounded by peak active handles (PR 6) *and* live
     // log segments stay bounded by the frontier spread (checkpointed
