@@ -118,9 +118,6 @@ pub struct StoreConfig {
     /// Decide a checkpoint image into each shard's log every this many
     /// positions (PR 7 truncation machinery). `None` = unbounded logs.
     pub checkpoint_every: Option<usize>,
-    /// Hard per-shard log capacity (`LogFull` beyond it). `None` =
-    /// grow on demand. Mutually exclusive with `checkpoint_every`.
-    pub capacity: Option<usize>,
 }
 
 impl Default for StoreConfig {
@@ -130,7 +127,6 @@ impl Default for StoreConfig {
             seed: 0x5eed_5709_e5ca_1ab1,
             ops_per_handle: 1 << 20,
             checkpoint_every: None,
-            capacity: None,
         }
     }
 }
@@ -179,29 +175,21 @@ where
 {
     /// Build a store per `cfg`. Every shard is a dynamic-membership
     /// universal object (PR 6), checkpointed at the configured cadence
-    /// (PR 7) or capacity-capped if requested.
+    /// (PR 7) if one is set.
     ///
     /// # Panics
-    /// If `cfg.shards == 0`, or both `checkpoint_every` and `capacity`
-    /// are set (a capped log cannot also truncate).
+    /// If `cfg.shards == 0`.
     #[must_use]
     pub fn new(cfg: &StoreConfig) -> Self {
         assert!(cfg.shards > 0, "a store has at least one shard");
-        assert!(
-            cfg.checkpoint_every.is_none() || cfg.capacity.is_none(),
-            "checkpoint_every and capacity are mutually exclusive"
-        );
         let shards = (0..cfg.shards)
             .map(|s| {
                 let init = ShardState::new(s, cfg.shards, cfg.seed);
-                match (cfg.checkpoint_every, cfg.capacity) {
-                    (Some(every), None) => {
+                match cfg.checkpoint_every {
+                    Some(every) => {
                         WfUniversal::new_dynamic_checkpointed(init, cfg.ops_per_handle, every)
                     }
-                    (None, Some(cap)) => {
-                        WfUniversal::with_capacity_dynamic(init, cfg.ops_per_handle, cap)
-                    }
-                    _ => WfUniversal::new_dynamic(init, cfg.ops_per_handle),
+                    None => WfUniversal::new_dynamic(init, cfg.ops_per_handle),
                 }
             })
             .collect();

@@ -14,10 +14,8 @@
 //!   [`ObjectSpec`](waitfree_model::ObjectSpec) shared among n threads via
 //!   a segmented log of pointer-CAS consensus cells with announce-array
 //!   helping (the practical shape of §4's construction, optimised for the
-//!   hot path — `Arc`'d entries, single-CAS decides, lazy log growth);
-//! * [`universal_cell`] — the original [`consensus::ConsensusCell`]-based
-//!   rendering of the same algorithm, kept as the fidelity baseline and
-//!   the *before* leg of the `bench_universal` comparison;
+//!   hot path — single-CAS decides, lazy log growth, checkpointed
+//!   truncation);
 //! * [`lockfree`] — specialized lock-free baselines (Treiber stack,
 //!   Michael–Scott queue) on raw `AtomicPtr` CAS with drop-deferred
 //!   reclamation;
@@ -56,5 +54,4 @@ pub mod faa_queue;
 pub mod lockfree;
 pub mod locked;
 pub mod universal;
-pub mod universal_cell;
 pub mod wrappers;

@@ -1,6 +1,6 @@
 //! A wait-free universal object on hardware atomics — the optimised
-//! pointer-CAS rendering, with batch combining, dynamic membership, and
-//! checkpointed log truncation.
+//! pointer-CAS rendering, with dynamic membership and checkpointed log
+//! truncation.
 //!
 //! The practical rendering of §4's universality result: a shared log in
 //! which each position is decided by a *single* `AtomicPtr`
@@ -10,19 +10,17 @@
 //! *wait-free* (everyone finishes) is exactly the helping.
 //!
 //! This module replaces the original 3-atomic-op
-//! [`ConsensusCell`](crate::consensus::ConsensusCell) hot path, which is
-//! preserved verbatim in [`crate::universal_cell`] as the fidelity
-//! baseline for the explorer/model crates and for the before/after
-//! benchmark (`bench_universal`). The structural changes that make this
-//! path fast:
+//! [`ConsensusCell`](crate::consensus::ConsensusCell) hot path; the
+//! abstract model in `waitfree-core` stays the paper-fidelity reference.
+//! The structural changes that make this path fast:
 //!
 //! * **Pointer consensus over arena segments.** A log position is one
 //!   `AtomicPtr<LogEntry>`: null means undecided, and the first
 //!   successful CAS from null wins. Proposals are plain heap `Box`es
 //!   owned by the winning slot — there is *no per-entry reference
 //!   count*. Entry lifetime is governed wholesale, per segment, by the
-//!   checkpoint/frontier scheme below, so the decide/replay/collect hot
-//!   path never touches reclamation bookkeeping. (Earlier revisions
+//!   checkpoint/frontier scheme below, so the decide/replay hot path
+//!   never touches reclamation bookkeeping. (Earlier revisions
 //!   used `Arc<Entry>` and paid two atomic refcount ops per hand-off.)
 //!   Helpers read another slot's announced entry through a per-handle
 //!   *hazard pointer* with a single validating re-load — wait-free: a
@@ -46,9 +44,9 @@
 //!   the latest checkpoint proposes a [`LogEntry::Checkpoint`] carrying
 //!   its replica state: one ordinary consensus decide, wait-free — the
 //!   loser of the checkpoint CAS just frees its image and moves on,
-//!   and replayers treat a checkpoint as an empty batch (their replica
-//!   already equals the image when they reach it). Each handle
-//!   publishes a *replay frontier* in its registry slot; whole segments
+//!   and replayers skip a checkpoint (their replica already equals the
+//!   image when they reach it). Each handle publishes a *replay
+//!   frontier* in its registry slot; whole segments
 //!   strictly behind `min(latest checkpoint, min over active handles'
 //!   frontiers)` are detached from the chain and freed once no
 //!   walker's segment hazard covers them. Retired, dropped, and
@@ -57,18 +55,11 @@
 //!   checkpoint — at least one is retained by construction, since the
 //!   reclaim bound never passes the newest one.
 //!   Steady-state memory is O(frontier spread), not O(total ops).
-//! * **Batch combining** (default; see DESIGN.md §9). Before deciding
-//!   position `k`, a thread scans the announce registry and collects
-//!   *every* currently-pending announced operation into one
-//!   [`LogEntry::Batch`], so a single winning CAS threads up to `n`
-//!   operations and the losers find their op already decided instead of
-//!   retrying. Under contention this drops decides per completed
-//!   operation from ~1 toward 1/n (amortized O(1) RMWs on the contended
-//!   slot), while the worst case keeps the per-op helping bound — the
-//!   scan starts at position `k`'s preferred thread, so the batch is
-//!   always a superset of the per-op candidate. [`WfUniversal::new_per_op`]
-//!   preserves the PR-2 one-op-per-decide candidate selection for
-//!   benchmarks and differential tests.
+//! * **One operation per decide** (the paper's rule; see DESIGN.md §9).
+//!   Position `k` prefers slot `k mod hi`: a thread proposes that
+//!   slot's pending announced operation, or its own when the preferred
+//!   slot is idle. Each decide reads one other slot, never the whole
+//!   registry.
 //! * **Dynamic membership** (PR 6's layer). The paper fixes the
 //!   process set `n` at creation time; a production service does not.
 //!   Following the infinite-arrival construction of
@@ -94,14 +85,13 @@
 //!    predecessor goes to an owner-local limbo list, freed once no
 //!    helper hazard covers it).
 //! 2. **Thread** it onto the log: repeatedly take the first undecided
-//!    position `k` and run consensus on a candidate — in combining mode
-//!    the batch of all pending announced ops (scanned starting from
-//!    position `k`'s *preferred slot* `k mod hi`, where `hi` is the
-//!    registered-slot high-water), in per-op mode the preferred slot's
-//!    pending entry or the caller's own. Once every position
-//!    periodically prefers each slot, an announced operation is
-//!    threaded within `hi` positions: the wait-free bound, restated
-//!    over peak active handles instead of a static `n`.
+//!    position `k` and run consensus on a candidate — the pending entry
+//!    of position `k`'s *preferred slot* `k mod hi` (where `hi` is the
+//!    registered-slot high-water), or the caller's own when that slot
+//!    has nothing pending. Once every position periodically prefers
+//!    each slot, an announced operation is threaded within `hi`
+//!    positions: the wait-free bound, restated over peak active handles
+//!    instead of a static `n`.
 //! 3. **Replay** the log from the handle's cached state up to the caller's
 //!    entry to compute the response (§4.1's `eval`/`apply`).
 //!
@@ -116,14 +106,14 @@
 //! Bounded work (the replay gap is fixed at the frontier load), hence
 //! wait-free, and zero RMWs on the shared log.
 //!
-//! Helping can thread the same entry into several positions (helpers and
-//! the owner may each win with a batch containing it); replay
-//! deduplicates by per-thread sequence number, the standard fix. The
-//! first occurrence of `(t, s)` in log order is always in per-thread
-//! sequence order: a batch can only contain `(t, s)` if its collect scan
-//! observed `done[t] == s`, which happens-after the decide that threaded
-//! `(t, s-1)` — and the decided prefix is contiguous, so that decide
-//! sits at a lower position.
+//! Helping can thread the same entry into several positions (a helper and
+//! the owner may each win with it); replay deduplicates by per-thread
+//! sequence number, the standard fix. The first occurrence of `(t, s)`
+//! in log order is always in per-thread sequence order: a helper
+//! proposes `(t, s)` only if its `pending` read observed `done[t] == s`,
+//! which happens-after the decide that threaded `(t, s-1)` — and the
+//! decided prefix is contiguous, so that decide sits at a lower
+//! position.
 //!
 //! # Memory orderings
 //!
@@ -175,17 +165,16 @@
 //!   announce writes;
 //! * `announced`/`done` (per registry slot): `SeqCst` — they form
 //!   the announce/help handshake the helping bound is proved against,
-//!   and they are off the per-iteration fast path. The combining
-//!   collect scan reads both through `pending`'s `SeqCst` loads, one
-//!   pair per slot: seeing `announced > done` must imply the announce
-//!   cell is populated (the announcer's cell store is a `SeqCst` store
-//!   sequenced before its `SeqCst` store to `announced`), and a batch
-//!   member `(t, s)` must imply `(t, s-1)` was already threaded (the
-//!   `SeqCst` load of `done` sits after the decider's `SeqCst`
-//!   `fetch_max` in the single total order). Sequence numbers continue
-//!   across slot reuse — a re-registered slot's first op takes
-//!   `seq = announced` — so the `(tid, seq)` replay dedup stays sound
-//!   over churn;
+//!   and they are off the per-iteration fast path. A helper reads both
+//!   through `pending`'s `SeqCst` loads: seeing `announced > done` must
+//!   imply the announce cell is populated (the announcer's cell store
+//!   is a `SeqCst` store sequenced before its `SeqCst` store to
+//!   `announced`), and a helped candidate `(t, s)` must imply `(t, s-1)`
+//!   was already threaded (the `SeqCst` load of `done` sits after the
+//!   decider's `SeqCst` `fetch_max` in the single total order).
+//!   Sequence numbers continue across slot reuse — a re-registered
+//!   slot's first op takes `seq = announced` — so the `(tid, seq)`
+//!   replay dedup stays sound over churn;
 //! * **every word of the checkpoint/reclaim protocol is `SeqCst`**, by
 //!   design: the announce cell and the per-slot `entry_hazard`, the
 //!   per-slot `frontier` and `seg_hazard`, and the shared `oldest`,
@@ -205,7 +194,6 @@
 //! | `universal::retire`     | after the slot is marked retired (frontier already unpinned), before reclamation |
 //! | `universal::announce`   | before the announce-cell write |
 //! | `universal::announced`  | after the announce is published, before threading |
-//! | `universal::collect`    | before the announce-registry scan that builds a combined batch (combining mode only) |
 //! | `universal::cas`        | in the threading loop, before each consensus decide |
 //! | `universal::decided`    | after a decide, before the position advances |
 //! | `universal::replay`     | in the replay loop, per applied operation |
@@ -213,16 +201,11 @@
 //! | `universal::checkpoint` | after the checkpoint cadence check, before the image is built and proposed |
 //! | `universal::reclaim`    | inside `try_reclaim`, after the reclaim lock is taken, before anything is detached |
 //!
-//! The shared sites carry the same names as the baseline's
-//! ([`crate::universal_cell`]), so one adversary plan stresses either
-//! path (`universal::collect` fires only on the combining path;
-//! `universal::register`/`universal::retire`/`universal::checkpoint`/
-//! `universal::reclaim` only on this one). A thread crashed at
-//! `universal::announce` has published nothing; one crashed at any
-//! later site has an announced operation that helpers may still
-//! thread, and a collect scan mutates nothing shared (its hazard
-//! pointer is cleared by the next owner action or handle drop). Verify
-//! such histories with `PendingPolicy::MayTakeEffect`. A client
+//! A thread crashed at `universal::announce` has published nothing;
+//! one crashed at any later site has an announced operation that
+//! helpers may still thread, and a helper's `pending` read mutates
+//! nothing shared (its hazard pointer is cleared before it returns).
+//! Verify such histories with `PendingPolicy::MayTakeEffect`. A client
 //! crashed at `universal::register` has claimed nothing; one crashed
 //! at `universal::retire` leaves its slot marked retired, quiescent,
 //! and — because the frontier is unpinned *before* the failpoint —
@@ -322,9 +305,9 @@ impl fmt::Display for UniversalError {
 
 impl std::error::Error for UniversalError {}
 
-/// One announced operation. Constructed once per operation; helpers and
-/// batch membership copy it by `Clone` (a plain payload clone — there
-/// is no shared-ownership bookkeeping on the hot path).
+/// One announced operation. Constructed once per operation; helpers
+/// copy it by `Clone` (a plain payload clone — there is no
+/// shared-ownership bookkeeping on the hot path).
 #[derive(Clone, Debug)]
 pub struct Entry<Op> {
     /// The invoking thread.
@@ -347,43 +330,30 @@ pub struct CpImage<S: ObjectSpec> {
     pub applied: Vec<usize>,
 }
 
-/// One decided log position: a single operation, a batch of operations
-/// threaded together by one winning consensus decide, or a checkpointed
+/// One decided log position: a single operation, or a checkpointed
 /// replica image (the truncation variant's "snapshot as an op").
 ///
-/// Batch members are in announce-scan order (starting at the position's
-/// preferred thread), which is their linearization order; replay applies
-/// them in member order and response lookup keys on `(tid, seq)`.
-/// [`WfHandle::decided_log`] flattens batches so the Wing–Gong checker
-/// and the cross-implementation equivalence tests keep per-op
-/// granularity. A checkpoint contributes no members: replayers that
+/// Replay applies the operation and response lookup keys on
+/// `(tid, seq)`. A checkpoint carries no operation: replayers that
 /// reach it already hold a replica equal to its image, so they skip it,
 /// while a bootstrapping registrant *starts* from it.
 #[derive(Debug)]
 pub enum LogEntry<S: ObjectSpec> {
-    /// One operation. The per-op path always produces this; the
-    /// combining path produces it when the collect scan finds a single
-    /// pending operation.
+    /// One operation.
     Solo(Entry<S::Op>),
-    /// Two or more operations combined by one collect scan, in
-    /// announce-scan order. At most one member per thread (the scan
-    /// reads each thread's oldest pending op once).
-    Batch(Box<[Entry<S::Op>]>),
     /// A checkpointed replica image decided into the log by a handle
     /// whose replay frontier reached the checkpoint cadence. Boxed:
-    /// the common Solo/Batch arms must not pay for the image's size.
+    /// the common Solo arm must not pay for the image's size.
     Checkpoint(Box<CpImage<S>>),
 }
 
 impl<S: ObjectSpec> LogEntry<S> {
-    /// The decided operations in linearization order (a `Solo` is a
-    /// one-member batch; a `Checkpoint` carries none).
+    /// The decided operation (`None` for a checkpoint).
     #[must_use]
-    pub fn members(&self) -> &[Entry<S::Op>] {
+    pub fn op(&self) -> Option<&Entry<S::Op>> {
         match self {
-            LogEntry::Solo(e) => std::slice::from_ref(e),
-            LogEntry::Batch(m) => m,
-            LogEntry::Checkpoint(_) => &[],
+            LogEntry::Solo(e) => Some(e),
+            LogEntry::Checkpoint(_) => None,
         }
     }
 }
@@ -553,10 +523,6 @@ struct Shared<S: ObjectSpec> {
     max_ops: usize,
     /// Opt-in position cap; `None` lets the log grow without bound.
     cap: Option<usize>,
-    /// Combining mode: scan the announce registry and propose all
-    /// pending ops as one batch per decide (the default hot path).
-    /// `false` keeps the PR-2 one-op-per-decide candidate selection.
-    combine: bool,
     /// Checkpoint cadence: decide a [`LogEntry::Checkpoint`] once a
     /// handle's replay frontier is `every` positions past the latest
     /// one. `None` disables truncation entirely (the reclaim bound
@@ -617,7 +583,6 @@ impl<S: ObjectSpec> fmt::Debug for Shared<S> {
         f.debug_struct("Shared")
             .field("max_ops", &self.max_ops)
             .field("cap", &self.cap)
-            .field("combine", &self.combine)
             .field("checkpoint_every", &self.checkpoint_every)
             // ordering: Acquire [pairs: universal.slots_hi] —
             // diagnostics read cross-thread state; Acquire keeps the
@@ -817,61 +782,6 @@ impl<S: ObjectSpec> Shared<S> {
         let out = if e.seq == d { Some(e.clone()) } else { None };
         hazard.store(ptr::null_mut(), Ordering::SeqCst);
         out
-    }
-
-    /// [`Shared::pending`] by slot index (the per-op candidate path).
-    fn pending_at(
-        &self,
-        t: usize,
-        hazard: &AtomicPtr<Entry<S::Op>>,
-    ) -> Option<Entry<S::Op>> {
-        self.pending(self.reg_slot(t), hazard)
-    }
-
-    /// Gather the pending entries of slots `from..to` (one linear walk
-    /// of the registry chain) into `members`. The caller's own slot is
-    /// read without the hazard dance — the caller owns its cell.
-    fn pending_range(
-        &self,
-        from: usize,
-        to: usize,
-        own: &Entry<S::Op>,
-        hazard: &AtomicPtr<Entry<S::Op>>,
-        members: &mut Vec<Entry<S::Op>>,
-    ) {
-        if from >= to {
-            return;
-        }
-        // SAFETY: see `reg_slot`.
-        let mut seg: *const RegSegment<S::Op> = &*self.reg_head;
-        let mut t = from;
-        // progress: bounded — advances `t` one slot per iteration over
-        // the `from..to` window.
-        while t < to {
-            let s = unsafe { &*seg };
-            if t >= s.base + REGISTRY_SEGMENT {
-                // ordering: Acquire [pairs: universal.reg_install] —
-                // pairs with the Release segment install in
-                // `reg_slot_grow`.
-                let next = s.next.load(Ordering::Acquire);
-                if next.is_null() {
-                    return; // `to` outran this thread's view; nothing there to help
-                }
-                seg = next;
-                continue;
-            }
-            let slot = &s.slots[t - s.base];
-            if t == own.tid {
-                // Own slot: the caller owns the cell, no hazard needed;
-                // and the entry is by definition `own` while undone.
-                if slot.done.load(Ordering::SeqCst) <= own.seq {
-                    members.push(own.clone());
-                }
-            } else if let Some(e) = self.pending(slot, hazard) {
-                members.push(e);
-            }
-            t += 1;
-        }
     }
 
     /// Whether any registered slot's entry hazard currently covers `p`
@@ -1113,11 +1023,9 @@ impl<S: ObjectSpec> Shared<S> {
         // the two SeqCst sites this crate keeps deliberately (the
         // other is the announce/done handshake): every decide must
         // take effect in one total order all threads agree on, which
-        // release/acquire alone does not give. Kept at the strongest
-        // ordering exactly as the cell path's winner CAS was; Acquire
-        // failure — pairs with the winner's (SeqCst ⊇ Release) store
-        // so the winning LogEntry's members are visible before we
-        // read them.
+        // release/acquire alone does not give. Acquire failure —
+        // pairs with the winner's (SeqCst ⊇ Release) store so the
+        // winning LogEntry's contents are visible before we read them.
         match slot.compare_exchange(
             ptr::null_mut(),
             proposed,
@@ -1150,15 +1058,12 @@ unsafe impl<S: ObjectSpec + Send + Sync> Sync for Shared<S> where S::Op: Send + 
 ///
 /// The object is a cloneable front-end over the shared state; clients
 /// join and leave dynamically. Create with [`WfUniversal::new_dynamic`]
-/// (batch combining, the default hot path),
-/// [`WfUniversal::new_dynamic_per_op`], or
-/// [`WfUniversal::new_dynamic_checkpointed`] (bounded memory), then
+/// or [`WfUniversal::new_dynamic_checkpointed`] (bounded memory), then
 /// call [`WfUniversal::register`] to obtain a [`WfHandle`] per client
 /// and [`WfHandle::retire`] when a client departs. The fixed-membership
 /// constructors ([`WfUniversal::new`] and friends) remain as one-shot
 /// conveniences that register `n` handles up front. See
-/// [`crate::wrappers`] for typed instantiations, and
-/// [`crate::universal_cell`] for the unoptimised reference rendering.
+/// [`crate::wrappers`] for typed instantiations.
 ///
 /// # Example
 ///
@@ -1204,8 +1109,9 @@ impl<S: ObjectSpec> fmt::Debug for WfUniversal<S> {
 
 impl<S: ObjectSpec> WfUniversal<S> {
     /// Build the object for `n` threads, each performing at most
-    /// `max_ops` operations, returning one handle per thread. Decides
-    /// use batch combining (see the module docs and DESIGN.md §9).
+    /// `max_ops` operations, returning one handle per thread. Each
+    /// decide threads one operation (see the module docs and DESIGN.md
+    /// §9).
     ///
     /// The log starts as a single [`SEGMENT_SIZE`] segment and grows
     /// lazily: memory is O(positions actually decided), not
@@ -1218,16 +1124,7 @@ impl<S: ObjectSpec> WfUniversal<S> {
     #[allow(clippy::new_ret_no_self)]
     #[must_use]
     pub fn new(initial: S, n: usize, max_ops: usize) -> Vec<WfHandle<S>> {
-        Self::build(initial, n, max_ops, None, true, None)
-    }
-
-    /// [`WfUniversal::new`] with the combining layer disabled: every
-    /// decide threads exactly one operation (the preferred thread's
-    /// pending entry, else the caller's own). The before/after leg for
-    /// `bench_universal` and the differential tests.
-    #[must_use]
-    pub fn new_per_op(initial: S, n: usize, max_ops: usize) -> Vec<WfHandle<S>> {
-        Self::build(initial, n, max_ops, None, false, None)
+        Self::build(initial, n, max_ops, None, None)
     }
 
     /// [`WfUniversal::new`] with checkpointed log truncation: every
@@ -1243,18 +1140,7 @@ impl<S: ObjectSpec> WfUniversal<S> {
         max_ops: usize,
         every: usize,
     ) -> Vec<WfHandle<S>> {
-        Self::build(initial, n, max_ops, None, true, Some(every))
-    }
-
-    /// [`WfUniversal::new_checkpointed`] with combining disabled.
-    #[must_use]
-    pub fn new_checkpointed_per_op(
-        initial: S,
-        n: usize,
-        max_ops: usize,
-        every: usize,
-    ) -> Vec<WfHandle<S>> {
-        Self::build(initial, n, max_ops, None, false, Some(every))
+        Self::build(initial, n, max_ops, None, Some(every))
     }
 
     /// [`WfUniversal::new`] with an explicit position cap, for tests
@@ -1267,34 +1153,15 @@ impl<S: ObjectSpec> WfUniversal<S> {
         max_ops: usize,
         capacity: usize,
     ) -> Vec<WfHandle<S>> {
-        Self::build(initial, n, max_ops, Some(capacity), true, None)
-    }
-
-    /// [`WfUniversal::with_capacity`] with combining disabled — a
-    /// position cap over the per-op decide path.
-    #[must_use]
-    pub fn with_capacity_per_op(
-        initial: S,
-        n: usize,
-        max_ops: usize,
-        capacity: usize,
-    ) -> Vec<WfHandle<S>> {
-        Self::build(initial, n, max_ops, Some(capacity), false, None)
+        Self::build(initial, n, max_ops, Some(capacity), None)
     }
 
     /// Build a dynamic-membership object: no fixed process set. Each
     /// [`WfUniversal::register`] call claims (or recycles) a registry
-    /// slot and grants a fresh `max_ops` operation budget. Decides use
-    /// batch combining.
+    /// slot and grants a fresh `max_ops` operation budget.
     #[must_use]
     pub fn new_dynamic(initial: S, max_ops: usize) -> Self {
-        Self::make(initial, max_ops, None, true, None)
-    }
-
-    /// [`WfUniversal::new_dynamic`] with the combining layer disabled.
-    #[must_use]
-    pub fn new_dynamic_per_op(initial: S, max_ops: usize) -> Self {
-        Self::make(initial, max_ops, None, false, None)
+        Self::make(initial, max_ops, None, None)
     }
 
     /// [`WfUniversal::new_dynamic`] with checkpointed log truncation
@@ -1302,21 +1169,13 @@ impl<S: ObjectSpec> WfUniversal<S> {
     /// configuration — unbounded arrivals, bounded memory.
     #[must_use]
     pub fn new_dynamic_checkpointed(initial: S, max_ops: usize, every: usize) -> Self {
-        Self::make(initial, max_ops, None, true, Some(every))
-    }
-
-    /// [`WfUniversal::new_dynamic`] with an explicit log-position cap,
-    /// for tests that need [`UniversalError::LogFull`] under churn.
-    #[must_use]
-    pub fn with_capacity_dynamic(initial: S, max_ops: usize, capacity: usize) -> Self {
-        Self::make(initial, max_ops, Some(capacity), true, None)
+        Self::make(initial, max_ops, None, Some(every))
     }
 
     fn make(
         initial: S,
         max_ops: usize,
         cap: Option<usize>,
-        combine: bool,
         checkpoint_every: Option<usize>,
     ) -> Self {
         if let Some(every) = checkpoint_every {
@@ -1326,7 +1185,6 @@ impl<S: ObjectSpec> WfUniversal<S> {
             shared: Arc::new(Shared {
                 max_ops,
                 cap,
-                combine,
                 checkpoint_every,
                 reg_head: RegSegment::new(0),
                 slots_hi: AtomicUsize::new(0),
@@ -1352,10 +1210,9 @@ impl<S: ObjectSpec> WfUniversal<S> {
         n: usize,
         max_ops: usize,
         cap: Option<usize>,
-        combine: bool,
         checkpoint_every: Option<usize>,
     ) -> Vec<WfHandle<S>> {
-        let obj = Self::make(initial, max_ops, cap, combine, checkpoint_every);
+        let obj = Self::make(initial, max_ops, cap, checkpoint_every);
         // Sequential registration claims slots 0..n in order, so the
         // fixed-membership API keeps its tid == index contract.
         (0..n).map(|_| obj.register()).collect()
@@ -1784,14 +1641,6 @@ impl<S: ObjectSpec> WfHandle<S> {
         self.retired
     }
 
-    /// Whether decides combine all pending announced ops into one batch
-    /// ([`WfUniversal::new`]) or thread one op each
-    /// ([`WfUniversal::new_per_op`]).
-    #[must_use]
-    pub fn combining(&self) -> bool {
-        self.shared.combine
-    }
-
     /// Consensus decides the last completed `invoke` spent threading its
     /// operation. Wait-freedom (§4.1) bounds this by O(n) *regardless of
     /// other threads' speed or crashes* — the fault-tolerance tests
@@ -1808,9 +1657,9 @@ impl<S: ObjectSpec> WfHandle<S> {
     }
 
     /// Total consensus decides (CAS attempts) across this handle's life
-    /// — the numerator of the amortized decides-per-op metric the
-    /// combining layer lowers. With batching, `decides() / invokes()`
-    /// drops toward 1/n under contention; per-op it is ≥ 1.
+    /// — the numerator of the decides-per-op metric. Each decide threads
+    /// at most one operation, so `decides() / invokes()` is ≥ 1; helping
+    /// and lost races push it above.
     #[must_use]
     pub fn decides(&self) -> usize {
         self.decides
@@ -1818,8 +1667,8 @@ impl<S: ObjectSpec> WfHandle<S> {
 
     /// How many of [`Self::decides`] lost their CAS to a concurrent
     /// winner. Losing is cheap (the loser adopts the winner), but every
-    /// loss is a wasted RMW on the contended slot; the benchmark reports
-    /// this per completed op for the per-op vs batched comparison.
+    /// loss is a wasted RMW on the contended slot; the benchmarks report
+    /// this per completed op.
     #[must_use]
     pub fn cas_failures(&self) -> usize {
         self.cas_failures
@@ -1833,9 +1682,8 @@ impl<S: ObjectSpec> WfHandle<S> {
     }
 
     /// Log position whose decide carried this handle's most recent
-    /// completed op (`None` before the first successful invoke). Under
-    /// batch combining this is the position of the *batch* containing
-    /// the op. Layered protocols use it to relate their own entries to
+    /// completed op (`None` before the first successful invoke).
+    /// Layered protocols use it to relate their own entries to
     /// log order — e.g. `waitfree-store` reports the per-shard
     /// positions its snapshot markers were decided at.
     #[must_use]
@@ -1897,63 +1745,6 @@ impl<S: ObjectSpec> WfHandle<S> {
         });
     }
 
-    /// Combining mode's candidate for position `k`: scan the announce
-    /// registry once, starting at `k`'s preferred slot, and gather
-    /// every pending announced operation into one batch. The scan is
-    /// `hi` `pending` reads (SeqCst loads plus the hazard protocol,
-    /// no RMWs, nothing left published), so a thread that crashes
-    /// mid-collect has perturbed nothing: every entry it gathered
-    /// stays announced and helpable.
-    ///
-    /// Starting at the preferred slot makes the batch a superset of
-    /// the per-op candidate, so the per-position helping guarantee the
-    /// O(peak active) bound is proved against carries over unchanged.
-    ///
-    /// Returns the candidate and whether it is the caller's own
-    /// pre-built Solo (which `thread_entry` recovers on a lost CAS and
-    /// re-proposes instead of re-allocating).
-    fn collect_candidate(
-        &self,
-        k: usize,
-        hi: usize,
-        own: &Entry<S::Op>,
-        own_solo: &mut Option<Box<LogEntry<S>>>,
-    ) -> (Box<LogEntry<S>>, bool) {
-        failpoint!("universal::collect");
-        // SAFETY: `slot` points into the registry chain owned by
-        // `shared`, alive for the life of this handle.
-        let slot = unsafe { &*self.slot };
-        let preferred = k % hi;
-        let mut members: Vec<Entry<S::Op>> = Vec::new();
-        self.shared.pending_range(preferred, hi, own, &slot.entry_hazard, &mut members);
-        self.shared.pending_range(0, preferred, own, &slot.entry_hazard, &mut members);
-        match members.len() {
-            // Our own op got helped between the loop's `done` check and
-            // the scan; propose our (possibly stale) entry anyway, as
-            // the per-op path does — replay deduplicates.
-            0 => {
-                let solo = own_solo
-                    .take()
-                    .unwrap_or_else(|| Box::new(LogEntry::Solo(own.clone())));
-                (solo, true)
-            }
-            // The common uncontended case: only our own op is pending.
-            // Reuse the pre-built Solo so a solo run allocates one box
-            // per decide attempt at most, never per scan.
-            1 if members[0].tid == own.tid && members[0].seq == own.seq => {
-                let solo = own_solo
-                    .take()
-                    .unwrap_or_else(|| Box::new(LogEntry::Solo(own.clone())));
-                (solo, true)
-            }
-            1 => (
-                Box::new(LogEntry::Solo(members.pop().expect("len checked"))),
-                false,
-            ),
-            _ => (Box::new(LogEntry::Batch(members.into_boxed_slice())), false),
-        }
-    }
-
     /// Thread `own` onto the log: the consensus loop of `try_invoke`,
     /// factored out so a handle recovering from a caught crash (its
     /// previous op announced but not yet threaded) can finish that op
@@ -2002,29 +1793,27 @@ impl<S: ObjectSpec> WfHandle<S> {
                 }
             }
             // The slot high-water is re-read each iteration so freshly
-            // registered slots join the preferred-rotation (and the
-            // collect scan) as soon as their claim is visible.
+            // registered slots join the preferred rotation as soon as
+            // their claim is visible.
             let hi = self.shared.registered();
             self.thread_seg = self.shared.seg_for(self.thread_seg, k);
             let log_slot = self.shared.slot(self.thread_seg, k);
-            let (candidate, is_own) = if self.shared.combine {
-                self.collect_candidate(k, hi, own, &mut own_solo)
-            } else if k % hi == own.tid {
-                // Preferred slot is our own: propose our entry (the
-                // pending read would only hand back a clone of it).
-                let solo = own_solo
-                    .take()
-                    .unwrap_or_else(|| Box::new(LogEntry::Solo(own.clone())));
-                (solo, true)
+            // Propose the preferred slot's pending op, or our own when
+            // that slot is idle or is ours (the pending read would only
+            // hand back a clone of our entry).
+            let preferred = k % hi;
+            let helped = if preferred == own.tid {
+                None
             } else {
-                match self.shared.pending_at(k % hi, &slot.entry_hazard) {
-                    Some(e) => (Box::new(LogEntry::Solo(e)), false),
-                    None => {
-                        let solo = own_solo
-                            .take()
-                            .unwrap_or_else(|| Box::new(LogEntry::Solo(own.clone())));
-                        (solo, true)
-                    }
+                self.shared.pending(self.shared.reg_slot(preferred), &slot.entry_hazard)
+            };
+            let (candidate, is_own) = match helped {
+                Some(e) => (Box::new(LogEntry::Solo(e)), false),
+                None => {
+                    let solo = own_solo
+                        .take()
+                        .unwrap_or_else(|| Box::new(LogEntry::Solo(own.clone())));
+                    (solo, true)
                 }
             };
             failpoint!("universal::cas");
@@ -2038,22 +1827,21 @@ impl<S: ObjectSpec> WfHandle<S> {
                     own_solo = returned;
                 }
             }
-            // Advance every member's `done` watermark, not just one
-            // winner's: losers adopt the whole winning batch, so all its
-            // members become visible as threaded before anyone rescans.
+            // Advance the winner's `done` watermark, whoever proposed
+            // it: losers adopt the winning op, so it becomes visible as
+            // threaded before anyone reads that slot again.
             // SAFETY: `winner` is the decided entry the slot owns; the
             // slot's segment is at position ≥ cursor ≥ our published
             // frontier, hence alive.
-            for m in unsafe { &*winner }.members() {
+            if let Some(m) = unsafe { &*winner }.op() {
                 // ordering: SeqCst — half of the announce/done
                 // handshake, the second of the two protocol points this
                 // crate deliberately keeps at SeqCst (with the decide
-                // CAS): a collector's `announced` scan and an
-                // announcer's `done` check look at opposite sides of
-                // the same race, and only the single total order rules
-                // out the both-miss interleaving that would strand an
-                // announced op unhelped — the §4 helping bound rests on
-                // it.
+                // CAS): a helper's `announced` read and an announcer's
+                // `done` check look at opposite sides of the same race,
+                // and only the single total order rules out the
+                // both-miss interleaving that would strand an announced
+                // op unhelped — the §4 helping bound rests on it.
                 self.shared.reg_slot(m.tid).done.fetch_max(m.seq + 1, Ordering::SeqCst);
             }
             failpoint!("universal::decided");
@@ -2187,22 +1975,18 @@ impl<S: ObjectSpec> WfHandle<S> {
         }
         // ordering: SeqCst — the other half of the announce/done
         // handshake (see `done.fetch_max` in the threading loop): the
-        // announce must be ordered into the same total order the
-        // collectors scan, or a collector could miss this op while its
-        // announcer concurrently concludes it still needs help.
+        // announce must be ordered into the same total order helpers
+        // read, or a helper could miss this op while its announcer
+        // concurrently concludes it still needs help.
         slot.announced.store(seq + 1, Ordering::SeqCst);
         failpoint!("universal::announced");
 
         // 2. Thread onto the log.
         self.thread_entry(own)?;
 
-        // 3. Replay until our own entry is applied. A batch is applied
-        //    member by member in decide order; we finish the position
-        //    containing our op before returning (its later members were
-        //    linearized by the same decide, so applying them is plain
-        //    local catch-up), keeping `cursor` a whole-position index.
-        //    Checkpoint entries contribute no members: our replica
-        //    already equals their image when we reach them.
+        // 3. Replay until our own entry is applied. Checkpoint entries
+        //    carry no operation: our replica already equals their image
+        //    when we reach them.
         // progress: bounded — applies one decided position per
         // iteration; stops at this operation's own entry, which the
         // threading loop above guaranteed is decided.
@@ -2224,22 +2008,17 @@ impl<S: ObjectSpec> WfHandle<S> {
             // iteration.
             let le = unsafe { &*raw };
             self.cursor += 1;
-            let mut resp = None;
-            for m in le.members() {
-                if m.tid >= self.applied.len() {
-                    self.applied.resize(m.tid + 1, 0);
-                }
-                if m.seq != self.applied[m.tid] {
-                    continue; // duplicate from helping
-                }
-                failpoint!("universal::replay");
-                let r = self.state.apply(Pid(m.tid), &m.op);
-                self.applied[m.tid] += 1;
-                if m.tid == self.tid && m.seq == seq {
-                    resp = Some(r);
-                }
+            let Some(m) = le.op() else { continue };
+            if m.tid >= self.applied.len() {
+                self.applied.resize(m.tid + 1, 0);
             }
-            if let Some(r) = resp {
+            if m.seq != self.applied[m.tid] {
+                continue; // duplicate from helping
+            }
+            failpoint!("universal::replay");
+            let r = self.state.apply(Pid(m.tid), &m.op);
+            self.applied[m.tid] += 1;
+            if m.tid == self.tid && m.seq == seq {
                 // `cursor` was already advanced past the position whose
                 // decide carried our op.
                 self.last_pos = Some(self.cursor - 1);
@@ -2439,7 +2218,7 @@ impl<S: ObjectSpec> WfHandle<S> {
             // quiescence on a retired handle).
             let le = unsafe { &*raw };
             self.cursor += 1;
-            self.apply_members(le);
+            self.apply_decided(le);
         }
         if !self.retired {
             // All positions below `cursor` are decided (we replayed
@@ -2452,24 +2231,23 @@ impl<S: ObjectSpec> WfHandle<S> {
         self.state.clone()
     }
 
-    /// Apply every not-yet-applied member of a decided entry to this
-    /// handle's replica, advancing the per-thread dedup watermarks.
-    /// Checkpoint entries contribute no members. Shared by the pure
+    /// Apply a decided entry's operation to this handle's replica unless
+    /// it was already applied, advancing the per-thread dedup watermark.
+    /// Checkpoint entries carry no operation. Shared by the pure
     /// catch-up replays (`refresh`, `try_read`); `try_invoke`'s replay
     /// loop keeps its own copy because it additionally watches for the
     /// caller's own response and fires the `universal::replay`
     /// failpoint per applied op.
-    fn apply_members(&mut self, le: &LogEntry<S>) {
-        for m in le.members() {
-            if m.tid >= self.applied.len() {
-                self.applied.resize(m.tid + 1, 0);
-            }
-            if m.seq != self.applied[m.tid] {
-                continue; // duplicate from helping
-            }
-            self.state.apply(Pid(m.tid), &m.op);
-            self.applied[m.tid] += 1;
+    fn apply_decided(&mut self, le: &LogEntry<S>) {
+        let Some(m) = le.op() else { return };
+        if m.tid >= self.applied.len() {
+            self.applied.resize(m.tid + 1, 0);
         }
+        if m.seq != self.applied[m.tid] {
+            return; // duplicate from helping
+        }
+        self.state.apply(Pid(m.tid), &m.op);
+        self.applied[m.tid] += 1;
     }
 
     /// Linearizable **log-free** read: evaluate `f` against this
@@ -2554,50 +2332,31 @@ impl<S: ObjectSpec> WfHandle<S> {
             // reclaim bound never passes.
             let le = unsafe { &*raw };
             self.cursor += 1;
-            self.apply_members(le);
+            self.apply_decided(le);
         }
         self.publish_frontier();
         Ok(f(&self.state))
     }
 
-    /// Total log positions this handle has replayed (diagnostics). A
-    /// combined batch counts as one position however many ops it
-    /// carries; on the checkpointed path an adopting registrant starts
-    /// already past the checkpoint position.
+    /// Total log positions this handle has replayed (diagnostics). On
+    /// the checkpointed path an adopting registrant starts already past
+    /// the checkpoint position.
     #[must_use]
     pub fn replayed(&self) -> usize {
         self.cursor
     }
 
     /// The decided *retained* prefix of the log as `(tid, seq)` pairs,
-    /// from the oldest retained segment to the first undecided slot,
-    /// with batches flattened in decide order — so the Wing–Gong
-    /// checker and the cross-implementation equivalence tests keep
-    /// per-op granularity regardless of how ops were grouped into
-    /// positions (the cell path emits the same shape). Checkpoint
-    /// entries contribute nothing. Without checkpointing "retained"
-    /// is the whole log, exactly as before. Read-only diagnostic;
-    /// quiescently consistent: call it only when no invoke is in
-    /// flight (or under the deterministic scheduler).
+    /// one per decided operation, from the oldest retained segment to
+    /// the first undecided slot. Checkpoint entries contribute nothing.
+    /// Without checkpointing "retained" is the whole log. Read-only
+    /// diagnostic; quiescently consistent: call it only when no invoke
+    /// is in flight (or under the deterministic scheduler).
     #[must_use]
     pub fn decided_log(&self) -> Vec<(usize, usize)> {
         self.walk_decided(|out, le| {
-            for m in le.members() {
+            if let Some(m) = le.op() {
                 out.push((m.tid, m.seq));
-            }
-        })
-    }
-
-    /// The decided retained prefix grouped by log position: one inner
-    /// vector of `(tid, seq)` pairs per decide, checkpoint positions
-    /// skipped. Per-op and cell logs have only singleton groups;
-    /// `decided_batches().len()` vs `decided_log().len()` measures how
-    /// much combining happened.
-    #[must_use]
-    pub fn decided_batches(&self) -> Vec<Vec<(usize, usize)>> {
-        self.walk_decided(|out, le| {
-            if !matches!(le, LogEntry::Checkpoint(_)) {
-                out.push(le.members().iter().map(|m| (m.tid, m.seq)).collect());
             }
         })
     }
@@ -2620,7 +2379,7 @@ impl<S: ObjectSpec> WfHandle<S> {
         'walk: loop {
             out.clear();
             let mut seg = if pin {
-                shared_pin(&self.shared, slot)
+                self.shared.pin_oldest(slot)
             } else {
                 self.shared.oldest.load(Ordering::SeqCst).cast_const()
             };
@@ -2672,15 +2431,6 @@ impl<S: ObjectSpec> WfHandle<S> {
             }
         }
     }
-}
-
-/// Free function so `walk_decided` can pin without borrowing `self`
-/// mutably (it takes `&self`): identical to `Shared::pin_oldest`.
-fn shared_pin<S: ObjectSpec>(
-    shared: &Shared<S>,
-    slot: &HandleSlot<S::Op>,
-) -> *const Segment<S> {
-    shared.pin_oldest(slot)
 }
 
 impl<S: ObjectSpec> Drop for WfHandle<S> {
@@ -3042,7 +2792,6 @@ mod tests {
         assert_eq!(h.last_threading_steps(), 1);
         assert_eq!(h.max_threading_steps(), 1);
         assert_eq!(h.n(), 1);
-        assert!(h.combining());
     }
 
     #[test]
@@ -3052,77 +2801,18 @@ mod tests {
         for _ in 0..5 {
             h.invoke(CounterOp::Add(1));
         }
-        // Alone: one decide per op, none lost, batches all singletons.
+        // Alone: one decide per op, none lost, one position per op.
         assert_eq!(h.invokes(), 5);
         assert_eq!(h.decides(), 5);
         assert_eq!(h.cas_failures(), 0);
-        assert_eq!(h.decided_batches().len(), 5);
-        assert!(h.decided_batches().iter().all(|b| b.len() == 1));
-    }
-
-    #[test]
-    fn per_op_and_combining_agree_when_uncontended() {
-        // Without contention the combining path degenerates to exactly
-        // the per-op behaviour: same responses, same (flat) decided log.
-        let script = [
-            QueueOp::Enq(4),
-            QueueOp::Enq(5),
-            QueueOp::Deq,
-            QueueOp::Deq,
-            QueueOp::Deq,
-            QueueOp::Enq(6),
-            QueueOp::Deq,
-        ];
-        let mut batched = WfUniversal::new(FifoQueue::new(), 1, script.len()).remove(0);
-        let mut per_op = WfUniversal::new_per_op(FifoQueue::new(), 1, script.len()).remove(0);
-        assert!(!per_op.combining());
-        for op in &script {
-            assert_eq!(batched.invoke(op.clone()), per_op.invoke(op.clone()), "{op:?}");
-        }
-        assert_eq!(batched.decided_log(), per_op.decided_log());
-    }
-
-    #[test]
-    fn decided_batches_flatten_to_decided_log() {
-        // Under contention positions may hold multi-op batches; the
-        // flattened view must match `decided_log` exactly and account
-        // for every completed op once.
-        let threads = 4;
-        let per = 300;
-        let handles = WfUniversal::new(Counter::new(0), threads, per);
-        let joins: Vec<_> = handles
-            .into_iter()
-            .map(|mut h| {
-                thread::spawn(move || {
-                    for _ in 0..per {
-                        h.invoke(CounterOp::Add(1));
-                    }
-                    h
-                })
-            })
-            .collect();
-        let finished: Vec<_> = joins.into_iter().map(|j| j.join().unwrap()).collect();
-        let h = &finished[0];
-        let flat = h.decided_log();
-        let grouped: Vec<(usize, usize)> =
-            h.decided_batches().into_iter().flatten().collect();
-        assert_eq!(flat, grouped, "flattened batches are the decided log");
-        // Dedup to first occurrences: every op appears.
-        let mut firsts = std::collections::HashSet::new();
-        for pair in &flat {
-            firsts.insert(*pair);
-        }
-        assert_eq!(firsts.len(), threads * per, "every op threaded");
-        // Positions never exceed ops (combining only packs tighter).
-        assert!(h.decided_batches().len() <= flat.len());
+        assert_eq!(h.decided_log(), (0..5).map(|s| (0, s)).collect::<Vec<_>>());
     }
 
     #[test]
     fn per_op_position_consumption_is_bounded() {
         // Wait-freedom evidence: with helping, total positions consumed
-        // stay within 2·n·ops even under contention (each entry appears
-        // at most twice per mode's duplication bound; combining only
-        // packs positions tighter).
+        // stay within 2·n·ops even under contention (helping duplicates
+        // an entry only a bounded number of times).
         let threads = 3;
         let per = 400;
         let handles = WfUniversal::new(Counter::new(0), threads, per);

@@ -11,11 +11,10 @@
 //! construction given a consensus primitive.
 //!
 //! `create` builds [`WfUniversal::new`], so every wrapper rides the
-//! batch-combining decide path by default: under contention one winning
-//! consensus decide threads every currently-pending announced operation
-//! (see `universal`'s module docs). The `sched`-tier campaigns in
-//! `tests/sched_linearizability.rs` explore ≥ 1000 random-walk and
-//! ≥ 1000 PCT schedules over each wrapper on exactly this path.
+//! universal object's one decide path (see `universal`'s module docs).
+//! The `sched`-tier campaigns in `tests/sched_linearizability.rs`
+//! explore ≥ 1000 random-walk and ≥ 1000 PCT schedules over each
+//! wrapper on exactly this path.
 //!
 //! Each wrapper also has a dynamic-membership front-end (`WfQueue`,
 //! `WfStack`, `WfCounter`, `WfRegister`): a cloneable object whose

@@ -1,29 +1,27 @@
-//! Shared test plumbing: one abstraction over the universal-object
-//! implementations, so every fault-injection and helping-bound scenario
-//! runs against the optimised pointer-CAS path in both decide modes
-//! (per-op and batch-combining, `waitfree::sync::universal`) and the
-//! `ConsensusCell` baseline (`waitfree::sync::universal_cell`).
+//! Shared test plumbing: one abstraction over the two configurations of
+//! the universal object (`waitfree::sync::universal`), the unbounded log
+//! and the checkpointed one, so every fault-injection and helping-bound
+//! scenario runs against both.
 #![allow(dead_code)] // each test binary uses a different subset
 
 use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
 use waitfree::sync::universal::{UniversalError, WfHandle, WfUniversal};
-use waitfree::sync::universal_cell::{CellHandle, CellUniversal};
 
-/// A wait-free counter built on one of the universal-object paths.
-/// All implementations place the same `universal::*` failpoint sites at
-/// the same algorithmic steps, so a single adversary plan stresses
-/// any of them (`universal::collect` additionally fires on the
-/// combining path).
+/// A wait-free counter built on one configuration of the universal
+/// object. Both place the same `universal::*` failpoint sites at the
+/// same algorithmic steps, so a single adversary plan stresses either.
 pub trait CounterPath: Sized + Send + 'static {
     /// Short label for assertion messages.
     const NAME: &'static str;
 
-    /// Whether one decided log position can carry up to `n` operations
-    /// (batch combining) or exactly one. Scenarios that count positions
-    /// against completed ops scale their bounds by this.
-    const COMBINES: bool = false;
+    /// The `max_threading_steps` bound for `n` contending handles: the
+    /// helping bound `2n + 8` (see `tests/helping_bound.rs`), plus any
+    /// positions the configuration decides that carry no one's op.
+    fn step_bound(n: usize) -> usize {
+        2 * n + 8
+    }
 
-    /// One handle per thread, unbounded (or seed-formula) log.
+    /// One handle per thread, unbounded log.
     fn create(n: usize, max_ops: usize) -> Vec<Self>;
     /// One handle per thread with an explicit log-position cap, so
     /// `UniversalError::LogFull` is observable.
@@ -38,20 +36,18 @@ pub trait CounterPath: Sized + Send + 'static {
     fn max_threading_steps(&self) -> usize;
 }
 
-/// The optimised pointer-CAS / segmented-log path, one decide per op
-/// (the PR-2 shape, kept as the combining layer's differential
-/// baseline).
+/// The pointer-CAS / segmented-log object without truncation.
 pub struct PtrPath(pub WfHandle<Counter>);
 
 impl CounterPath for PtrPath {
     const NAME: &'static str = "pointer";
 
     fn create(n: usize, max_ops: usize) -> Vec<Self> {
-        WfUniversal::new_per_op(Counter::new(0), n, max_ops).into_iter().map(PtrPath).collect()
+        WfUniversal::new(Counter::new(0), n, max_ops).into_iter().map(PtrPath).collect()
     }
 
     fn create_capped(n: usize, max_ops: usize, capacity: usize) -> Vec<Self> {
-        WfUniversal::with_capacity_per_op(Counter::new(0), n, max_ops, capacity)
+        WfUniversal::with_capacity(Counter::new(0), n, max_ops, capacity)
             .into_iter()
             .map(PtrPath)
             .collect()
@@ -74,47 +70,10 @@ impl CounterPath for PtrPath {
     }
 }
 
-/// The pointer path with batch combining (the `WfUniversal::new`
-/// default): one winning decide threads every currently-pending
-/// announced op.
-pub struct BatchedPath(pub WfHandle<Counter>);
-
-impl CounterPath for BatchedPath {
-    const NAME: &'static str = "batched";
-    const COMBINES: bool = true;
-
-    fn create(n: usize, max_ops: usize) -> Vec<Self> {
-        WfUniversal::new(Counter::new(0), n, max_ops).into_iter().map(BatchedPath).collect()
-    }
-
-    fn create_capped(n: usize, max_ops: usize, capacity: usize) -> Vec<Self> {
-        WfUniversal::with_capacity(Counter::new(0), n, max_ops, capacity)
-            .into_iter()
-            .map(BatchedPath)
-            .collect()
-    }
-
-    fn invoke(&mut self, op: CounterOp) -> CounterResp {
-        self.0.invoke(op)
-    }
-
-    fn try_invoke(&mut self, op: CounterOp) -> Result<CounterResp, UniversalError> {
-        self.0.try_invoke(op)
-    }
-
-    fn tid(&self) -> usize {
-        self.0.tid()
-    }
-
-    fn max_threading_steps(&self) -> usize {
-        self.0.max_threading_steps()
-    }
-}
-
-/// The combining pointer path with checkpointed log truncation: a
-/// checkpoint is decided every few positions and segments behind every
-/// handle's replay frontier are reclaimed mid-run — no fault-tolerance
-/// property may depend on the truncated history staying allocated.
+/// The pointer path with checkpointed log truncation: a checkpoint is
+/// decided every few positions and segments behind every handle's
+/// replay frontier are reclaimed mid-run — no fault-tolerance property
+/// may depend on the truncated history staying allocated.
 pub struct CheckpointedPath(pub WfHandle<Counter>);
 
 /// Aggressive cadence so even short storm scenarios cross several
@@ -123,7 +82,16 @@ pub const CHECKPOINT_EVERY: usize = 8;
 
 impl CounterPath for CheckpointedPath {
     const NAME: &'static str = "checkpointed";
-    const COMBINES: bool = true;
+
+    /// A threading loop that spans k positions may also cross every
+    /// checkpoint decided in that window (at most one per cadence, plus
+    /// one race), and checkpoint entries carry no one's op — they are
+    /// pure extra iterations. The bound stays O(n): the cadence adds a
+    /// constant factor (1 + 1/every), not a dependence on history.
+    fn step_bound(n: usize) -> usize {
+        let base = 2 * n + 8;
+        base + base / CHECKPOINT_EVERY + 2
+    }
 
     fn create(n: usize, max_ops: usize) -> Vec<Self> {
         WfUniversal::new_checkpointed(Counter::new(0), n, max_ops, CHECKPOINT_EVERY)
@@ -134,45 +102,11 @@ impl CounterPath for CheckpointedPath {
 
     fn create_capped(n: usize, max_ops: usize, capacity: usize) -> Vec<Self> {
         // A capped log never truncates (the cadence guard stops at the
-        // LogFull edge), so the capped leg is the plain combining path —
+        // LogFull edge), so the capped leg is the plain pointer path —
         // kept so capped scenarios still run under this label.
         WfUniversal::with_capacity(Counter::new(0), n, max_ops, capacity)
             .into_iter()
             .map(CheckpointedPath)
-            .collect()
-    }
-
-    fn invoke(&mut self, op: CounterOp) -> CounterResp {
-        self.0.invoke(op)
-    }
-
-    fn try_invoke(&mut self, op: CounterOp) -> Result<CounterResp, UniversalError> {
-        self.0.try_invoke(op)
-    }
-
-    fn tid(&self) -> usize {
-        self.0.tid()
-    }
-
-    fn max_threading_steps(&self) -> usize {
-        self.0.max_threading_steps()
-    }
-}
-
-/// The seed `ConsensusCell` baseline path.
-pub struct CellPath(pub CellHandle<Counter>);
-
-impl CounterPath for CellPath {
-    const NAME: &'static str = "cell";
-
-    fn create(n: usize, max_ops: usize) -> Vec<Self> {
-        CellUniversal::new(Counter::new(0), n, max_ops).into_iter().map(CellPath).collect()
-    }
-
-    fn create_capped(n: usize, max_ops: usize, capacity: usize) -> Vec<Self> {
-        CellUniversal::with_capacity(Counter::new(0), n, max_ops, capacity)
-            .into_iter()
-            .map(CellPath)
             .collect()
     }
 

@@ -17,21 +17,15 @@
 //!    operations included as pending invocations — is accepted by
 //!    [`waitfree::model::linearize`] under `PendingPolicy::MayTakeEffect`.
 //!
-//! Every scenario runs against **all** universal-object paths: the
-//! optimised pointer-CAS/segmented-log implementation in both decide
-//! modes (per-op and batch-combining), the combining path with
-//! checkpointed log truncation live (segments reclaimed mid-storm), and
-//! the seed `ConsensusCell` baseline (see `common::CounterPath`) —
-//! neither optimisation may cost any fault-tolerance property. The
-//! combining path additionally gets a crash-during-combine scenario: a
-//! thread killed at `universal::collect`, mid-scan with other threads'
-//! pending entries already gathered, must leave every collected op
-//! still helpable (`MayTakeEffect` per batch member). The checkpointed
-//! path gets two deterministic storms of its own: a proposer killed at
-//! `universal::checkpoint` (nothing published, cadence retryable) and a
-//! reclaimer killed at `universal::reclaim` (lock released by its RAII
-//! guard, nothing freed or leaked), each with exact-count
-//! postconditions.
+//! Every scenario runs against both configurations of the universal
+//! object: the unbounded log and the one with checkpointed truncation
+//! live (segments reclaimed mid-storm; see `common::CounterPath`) —
+//! truncation may not cost any fault-tolerance property. The
+//! checkpointed path gets two deterministic storms of its own: a
+//! proposer killed at `universal::checkpoint` (nothing published,
+//! cadence retryable) and a reclaimer killed at `universal::reclaim`
+//! (lock released by its RAII guard, nothing freed or leaked), each
+//! with exact-count postconditions.
 //!
 //! The sharded store (`waitfree-store`) gets its own storms at the
 //! `store::route`/`store::multi`/`store::snapshot` sites: single-key
@@ -53,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use waitfree::sched::thread;
 use std::time::Duration;
 
-use common::{BatchedPath, CellPath, CheckpointedPath, CounterPath, PtrPath};
+use common::{CheckpointedPath, CounterPath, PtrPath};
 use waitfree::faults::failpoints::{self, FailpointConfig, FaultAction, Fire};
 use waitfree::faults::harness::{install_adversary, plan_adversary, spawn_workers, Outcome};
 use waitfree::model::{linearize, History, PendingPolicy, Pid};
@@ -61,15 +55,7 @@ use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
 use waitfree::sync::universal::{UniversalError, WfUniversal, SEGMENT_SIZE};
 
 /// Sites the adversary may target: announce published, pre-CAS, post-CAS.
-/// Shared by every path.
 const SITES: &[&str] = &["universal::announced", "universal::cas", "universal::decided"];
-
-/// The combining path also exposes the collect scan; a victim planned
-/// there crashes while building a batch. (Not in `SITES`: the site never
-/// fires on the per-op or cell paths, so a crash planned at it would
-/// silently not happen.)
-const BATCH_SITES: &[&str] =
-    &["universal::announced", "universal::collect", "universal::cas", "universal::decided"];
 
 /// One timeline event: an operation's invocation or its response.
 #[derive(Clone, Debug)]
@@ -211,11 +197,7 @@ fn survivors_complete_and_history_linearizes_under_adversary() {
         failpoints::clear();
         adversarial_round::<PtrPath>(seed, SITES);
         failpoints::clear();
-        adversarial_round::<BatchedPath>(seed, BATCH_SITES);
-        failpoints::clear();
-        adversarial_round::<CheckpointedPath>(seed, BATCH_SITES);
-        failpoints::clear();
-        adversarial_round::<CellPath>(seed, SITES);
+        adversarial_round::<CheckpointedPath>(seed, SITES);
     }
     failpoints::clear();
 }
@@ -286,9 +268,7 @@ fn stalled_thread_scenario<P: CounterPath>() {
 fn stalled_thread_is_observable_parked_then_resumes() {
     let _guard = failpoints::exclusive();
     stalled_thread_scenario::<PtrPath>();
-    stalled_thread_scenario::<BatchedPath>();
     stalled_thread_scenario::<CheckpointedPath>();
-    stalled_thread_scenario::<CellPath>();
 }
 
 fn log_exhaustion_scenario<P: CounterPath>() {
@@ -343,12 +323,11 @@ fn log_exhaustion_scenario<P: CounterPath>() {
             other => panic!("[{}] thread {tid}: unexpected outcome {other:?}", P::NAME),
         }
     }
-    // Each log position carries at most one op per thread (exactly one
-    // without combining), so completed ops are bounded by positions.
-    let per_position = if P::COMBINES { N } else { 1 };
+    // Each log position carries one op, so completed ops are bounded
+    // by positions.
     assert!(
-        total_ok <= CAPACITY * per_position,
-        "[{}] {total_ok} ops cannot fit in {CAPACITY} positions of ≤ {per_position} ops",
+        total_ok <= CAPACITY,
+        "[{}] {total_ok} ops cannot fit in {CAPACITY} positions",
         P::NAME
     );
     assert!(total_ok > 0, "[{}] some ops completed before exhaustion", P::NAME);
@@ -359,9 +338,7 @@ fn log_exhaustion_scenario<P: CounterPath>() {
 fn log_exhaustion_is_a_typed_error_even_with_a_crashed_peer() {
     let _guard = failpoints::exclusive();
     log_exhaustion_scenario::<PtrPath>();
-    log_exhaustion_scenario::<BatchedPath>();
     log_exhaustion_scenario::<CheckpointedPath>();
-    log_exhaustion_scenario::<CellPath>();
 }
 
 /// A handle reused after a *caught* crash mid-invoke (its op announced
@@ -369,9 +346,7 @@ fn log_exhaustion_is_a_typed_error_even_with_a_crashed_peer() {
 /// exactly as on an unbounded one, as long as the log actually has
 /// room: the cap bounds log positions, it is not a one-way recovery
 /// fuse. Regression — this used to return `LogFull { position: cap,
-/// capacity: cap }` with the log half-empty. (The cell path needs no
-/// twin test: its per-`(tid, seq)` announce slots are never
-/// overwritten, so it recovers without a pending-op gate at all.)
+/// capacity: cap }` with the log half-empty.
 #[test]
 fn caught_crash_on_capped_log_with_room_recovers_the_orphan() {
     let _guard = failpoints::exclusive();
@@ -410,130 +385,6 @@ fn caught_crash_on_capped_log_with_room_recovers_the_orphan() {
         }
         other => panic!("expected LogFull at the real cap, got {other:?}"),
     }
-}
-
-/// Crash-during-combine: a thread killed at `universal::collect` dies
-/// *while building a batch* — after announcing its own op, holding
-/// refcount bumps on whatever pending entries its scan already
-/// gathered. The scan writes nothing shared, so the crash must leave
-/// every one of those ops announced and helpable: the survivors (kept
-/// mid-invoke often enough by a yield storm that real multi-op batches
-/// form) complete everything, and the history with the victim's
-/// announced-but-unfinished op linearizes under `MayTakeEffect`.
-#[test]
-fn crash_during_combine_leaves_collected_ops_helpable() {
-    let _guard = failpoints::exclusive();
-    failpoints::clear();
-
-    const N: usize = 4;
-    const OPS: usize = 6;
-    const VICTIM: usize = 1;
-
-    // Every thread yields between collecting and deciding: threads sit
-    // mid-decide with announced ops, so pending backlogs build up and
-    // collect scans genuinely gather other threads' entries.
-    failpoints::configure(
-        "universal::cas",
-        FailpointConfig { action: FaultAction::Yield, fire: Fire::Always, tid: None, budget: None },
-    );
-    // The victim dies at its first collect — mid-combine, with its
-    // current op already announced. (First, not a later one: every
-    // threading-loop iteration starts with a collect, so the victim
-    // cannot complete an op without passing the site, making the crash
-    // deterministic.)
-    failpoints::configure(
-        "universal::collect",
-        FailpointConfig {
-            action: FaultAction::Crash,
-            fire: Fire::Nth(1),
-            tid: Some(VICTIM),
-            budget: Some(1),
-        },
-    );
-
-    // A large budget so the victim cannot run out of announce slots in
-    // the (theoretical) window where helpers complete its ops before it
-    // ever reaches a collect.
-    let handles: Arc<Vec<Mutex<Option<BatchedPath>>>> = Arc::new(
-        BatchedPath::create(N, 1000).into_iter().map(|h| Mutex::new(Some(h))).collect(),
-    );
-    let clock = Arc::new(AtomicU64::new(0));
-    let events: Arc<Mutex<Vec<(u64, Ev)>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let group = {
-        let handles = Arc::clone(&handles);
-        let clock = Arc::clone(&clock);
-        let events = Arc::clone(&events);
-        spawn_workers(N, move |tid| {
-            let mut h = handles[tid].lock().unwrap().take().expect("one handle per tid");
-            for _ in 0..OPS {
-                let stamp = clock.fetch_add(1, Ordering::SeqCst);
-                events.lock().unwrap().push((stamp, Ev::Inv(tid)));
-                let resp = h.invoke(CounterOp::FetchAndAdd(1));
-                let stamp = clock.fetch_add(1, Ordering::SeqCst);
-                events.lock().unwrap().push((stamp, Ev::Resp(tid, resp)));
-            }
-            h
-        })
-    };
-
-    assert!(
-        group.await_finished(N - 1, Duration::from_secs(60)),
-        "survivors did not complete past the mid-combine crash"
-    );
-    let outcomes = group.finish();
-    let mut survivor_handle = None;
-    for (tid, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Outcome::Completed(h) => {
-                assert_ne!(tid, VICTIM, "the victim cannot have completed all ops");
-                assert!(
-                    h.max_threading_steps() <= 2 * N + 8,
-                    "thread {tid} exceeded the helping bound mid-crash"
-                );
-                survivor_handle = Some(h);
-            }
-            Outcome::Crashed { site } => {
-                assert_eq!(tid, VICTIM, "only the planned victim crashes");
-                assert_eq!(site, "universal::collect", "crash site is the combine scan");
-            }
-            Outcome::Panicked { message } => panic!("thread {tid} panicked: {message}"),
-        }
-    }
-
-    // Per-batch-member accounting. The victim completed some ops
-    // (responses recorded), then crashed with exactly one more
-    // announced: that one is MayTakeEffect — helpers may have threaded
-    // it into a batch or not — so the final counter value is the
-    // completed count plus at most one.
-    let events = Arc::try_unwrap(events).expect("all workers joined").into_inner().unwrap();
-    let victim_completed = events
-        .iter()
-        .filter(|(_, ev)| matches!(ev, Ev::Resp(tid, _) if *tid == VICTIM))
-        .count();
-    let completed_total = (N - 1) * OPS + victim_completed;
-    let mut survivor = survivor_handle.expect("N-1 survivors").0;
-    let final_value = match survivor.invoke(CounterOp::Get) {
-        CounterResp::Value(v) => v as usize,
-        other => panic!("unexpected {other:?}"),
-    };
-    assert!(
-        final_value == completed_total || final_value == completed_total + 1,
-        "final counter {final_value} vs {completed_total} completed ops \
-         (+ at most one pending victim op)"
-    );
-
-    // And the stamped history — the victim's announced-but-unfinished
-    // op as a pending invocation — linearizes with MayTakeEffect.
-    let history = build_history(events);
-    let pending = history.ops().iter().filter(|op| op.resp.is_none()).count();
-    assert_eq!(pending, 1, "exactly the victim's mid-combine op is pending");
-    let report = linearize(&history, &Counter::new(0), PendingPolicy::MayTakeEffect);
-    assert!(
-        report.outcome.is_ok(),
-        "non-linearizable history after mid-combine crash: {history:?}"
-    );
-    failpoints::clear();
 }
 
 /// Crash-during-checkpoint: the checkpoint proposer dies at
@@ -712,6 +563,12 @@ fn keys_per_shard(store: &ShardedStore<u64, i64, Bump>) -> Vec<u64> {
 /// `store::route`, 1 when it lands after the announce at
 /// `universal::announced` — helpers then thread the orphan exactly
 /// once; watermark dedup makes a duplicate impossible).
+///
+/// The flush that threads the orphan follows the per-op helping rule:
+/// an op left on registry slot `v` is decided only at a position `k`
+/// with `k % n() == v`, and `n()` consecutive positions contain one.
+/// A lone handle's invokes on a shard walk consecutive positions, so
+/// `n()` no-op bumps per shard reach it.
 fn single_key_storm(seed: u64, site: &str, orphan_effect: i64) {
     const N: usize = 5;
     const OPS: usize = 12;
@@ -752,12 +609,15 @@ fn single_key_storm(seed: u64, site: &str, orphan_effect: i64) {
     }
     failpoints::clear();
 
-    // Flush: one no-op bump per key threads any announced orphan on its
-    // shard (batch combining collects every pending announced op), so
-    // the final values are deterministic exact counts.
+    // Flush: `n()` no-op bumps per key, from this handle alone, thread
+    // any announced orphan on the key's shard, so the final values are
+    // deterministic exact counts.
     let mut h = store.handle();
     for w in 0..N {
-        h.fetch_update(w as u64, Bump(0));
+        let n = h.shard_handle(store.shard_of(&(w as u64))).n();
+        for _ in 0..n {
+            h.fetch_update(w as u64, Bump(0));
+        }
     }
     for w in 0..N {
         let completed = done[w].load(Ordering::SeqCst) as i64;
@@ -920,10 +780,11 @@ fn store_crashed_multi_op_is_helped_and_never_torn() {
 ///
 /// * every shard's decided log is byte-for-byte what the writes alone
 ///   produced — zero growth, zero reordering;
-/// * no announced orphan is left for helpers to thread: a later no-op
-///   bump per shard decides exactly **one** new member there (batch
-///   combining would collect a leftover orphan into that decide, so a
-///   count of one proves the slot was never published);
+/// * no announced orphan is left for helpers to thread: `n()` later
+///   no-op bumps per shard, from one handle alone, decide exactly `n()`
+///   new entries there (under the per-op helping rule a leftover orphan
+///   is threaded within those `n()` positions, so a count of exactly
+///   `n()` proves the slot was never published);
 /// * all values are intact.
 #[test]
 fn store_crashed_reader_perturbs_nothing() {
@@ -982,16 +843,19 @@ fn store_crashed_reader_perturbs_nothing() {
     }
     failpoints::clear();
 
-    // No announced orphans anywhere: one no-op bump per shard decides
-    // exactly one new member there (an orphan would ride along in the
-    // same batch and show up as a second member).
-    for &k in &keys {
-        h.fetch_update(k, Bump(0));
+    // No announced orphans anywhere: `n()` no-op bumps per shard decide
+    // exactly `n()` new entries there (an orphan would be threaded
+    // within those positions and show up as one more entry).
+    let flush: Vec<usize> = (0..store.shards()).map(|s| h.shard_handle(s).n()).collect();
+    for (&k, &n) in keys.iter().zip(&flush) {
+        for _ in 0..n {
+            h.fetch_update(k, Bump(0));
+        }
     }
     for (s, want) in before.iter().enumerate() {
         assert_eq!(
             h.shard_handle(s).decided_log().len(),
-            want.len() + 1,
+            want.len() + flush[s],
             "shard {s}: a crashed reader left an announced orphan behind"
         );
     }

@@ -8,24 +8,21 @@
 //! preferred thread is the announcer, and whoever decides that position
 //! proposes the announced entry. The announcer's own loop starts at most
 //! n positions behind F (the shared hint lags each running thread by less
-//! than n positions — the seed path republished it every iteration, the
-//! pointer path every n-th iteration and once after the loop), so it
-//! iterates at most ~2n times. We assert
+//! than n positions — it is republished every n-th iteration and once
+//! after the loop), so it iterates at most ~2n times. We assert
 //! `max_threading_steps <= 2n + 8`, slack for the startup positions.
 //!
-//! Every universal-object path is measured (see `common::CounterPath`):
-//! neither the hoisted hint publication nor the batch-combining layer
-//! may loosen the bound. Combining must also *tighten* the amortized
-//! picture: one winning decide threads every pending announced op, so
-//! under full contention total decides per completed op drop from ~1
-//! toward 1/n — the `combining` module below asserts that drop against
-//! the per-op path under an injected yield storm.
+//! Both configurations of the object are measured (see
+//! `common::CounterPath`): the hoisted hint publication may not loosen
+//! the bound, and checkpoint truncation loosens it only by its cadence.
+//! The `survivor` module restates the rule itself: a crashed announcer's
+//! op is threaded within `n` invokes of a lone survivor.
 
 mod common;
 
 use waitfree::sched::thread;
 
-use common::{BatchedPath, CellPath, CheckpointedPath, CounterPath, PtrPath, CHECKPOINT_EVERY};
+use common::{CheckpointedPath, CounterPath, PtrPath};
 use waitfree::objects::counter::CounterOp;
 
 fn contention_round<P: CounterPath>() {
@@ -43,11 +40,13 @@ fn contention_round<P: CounterPath>() {
             })
         })
         .collect();
+    let bound = P::step_bound(n);
     for j in joins {
         let (tid, max_steps) = j.join().unwrap();
         assert!(
-            max_steps <= 2 * n + 8,
-            "[{}] thread {tid}: {max_steps} threading steps exceeds the O(n) bound (n = {n})",
+            max_steps <= bound,
+            "[{}] thread {tid}: {max_steps} threading steps exceeds the O(n) bound {bound} \
+             (n = {n})",
             P::NAME
         );
     }
@@ -56,43 +55,14 @@ fn contention_round<P: CounterPath>() {
 #[test]
 fn helping_bounds_threading_steps_under_contention() {
     contention_round::<PtrPath>();
-    contention_round::<BatchedPath>();
-    contention_round::<CellPath>();
 }
 
 /// The helping bound survives checkpointed truncation, with explicit
-/// slack for the checkpoint positions themselves: a threading loop that
-/// spans k positions may additionally cross every checkpoint decided in
-/// that window (at most one per cadence, plus one race), and checkpoint
-/// entries carry no one's op — they are pure extra iterations. The
-/// bound stays O(n): the cadence contributes a constant factor
-/// (1 + 1/every), not a new dependence on history length.
+/// slack for the checkpoint positions themselves (see
+/// `CheckpointedPath::step_bound`).
 #[test]
 fn helping_bound_survives_checkpointing_with_cadence_slack() {
-    let n = 4;
-    let per = 400;
-    let base = 2 * n + 8;
-    let bound = base + base / CHECKPOINT_EVERY + 2;
-    let handles = CheckpointedPath::create(n, per);
-    let joins: Vec<_> = handles
-        .into_iter()
-        .map(|mut h| {
-            thread::spawn(move || {
-                for _ in 0..per {
-                    h.invoke(CounterOp::Add(1));
-                }
-                (h.tid(), h.max_threading_steps())
-            })
-        })
-        .collect();
-    for j in joins {
-        let (tid, max_steps) = j.join().unwrap();
-        assert!(
-            max_steps <= bound,
-            "[checkpointed] thread {tid}: {max_steps} threading steps exceeds \
-             the cadence-adjusted O(n) bound {bound} (n = {n})"
-        );
-    }
+    contention_round::<CheckpointedPath>();
 }
 
 /// The bound restated for dynamic membership: the `n` in `2n + 8` is the
@@ -181,11 +151,13 @@ mod stall {
 
         // Survivors finish with the victim still parked mid-operation.
         assert!(group.await_finished(N - 1, Duration::from_secs(60)), "[{}]", P::NAME);
+        let bound = P::step_bound(N);
         for (tid, outcome) in group.finish().into_iter().enumerate() {
             let max_steps = outcome.completed().expect("all threads complete after release");
             assert!(
-                max_steps <= 2 * N + 8,
-                "[{}] thread {tid}: {max_steps} threading steps exceeds the O(n) bound (n = {N})",
+                max_steps <= bound,
+                "[{}] thread {tid}: {max_steps} threading steps exceeds the O(n) bound {bound} \
+                 (n = {N})",
                 P::NAME
             );
         }
@@ -196,208 +168,84 @@ mod stall {
     fn helping_bound_survives_an_injected_stall() {
         let _guard = failpoints::exclusive();
         stall_round::<PtrPath>();
-        stall_round::<BatchedPath>();
-        stall_round::<CellPath>();
+        stall_round::<CheckpointedPath>();
     }
 }
 
-/// The combining layer's amortized claim, measured: under full
-/// contention (every thread parked mid-invoke by a yield storm right
-/// after announcing, so pending backlogs always exist), batch decides
-/// drop the total consensus-decide count per completed op from ~1
-/// toward 1/n, while the per-op path pays at least one decided position
-/// per op. The worst case stays within the same 2n + 8 bound as ever —
-/// the combining scan starts at each position's preferred thread, so
-/// per-position helping is a superset of the per-op discipline.
+/// The per-op helping rule for one crashed announcer: position `k`
+/// prefers slot `k mod n`, and a thread deciding it proposes that
+/// slot's pending op. So an op left announced by a client that crashed
+/// is threaded by the survivors without the client ever running again:
+/// a lone survivor's invokes walk consecutive positions, and within
+/// `n()` of them one position prefers the crashed slot. The check runs
+/// from every starting position modulo `n`, so the crashed slot's
+/// preferred position lands at each offset of the survivor's walk.
 #[cfg(feature = "failpoints")]
-mod combining {
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
+mod survivor {
     use waitfree::faults::failpoints::{self, FailpointConfig, FaultAction, Fire};
-    use waitfree::faults::harness::spawn_workers;
-    use waitfree::objects::counter::{Counter, CounterOp};
-    use waitfree::sync::universal::{WfHandle, WfUniversal};
+    use waitfree::faults::harness::silence_crash_panics;
+    use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
+    use waitfree::sync::universal::WfUniversal;
 
-    const N: usize = 4;
-    const PER: usize = 200;
+    /// The crashed client's op, distinct from the survivor's `Add(1)`s
+    /// so a double application would show in the final count.
+    const CRASHED_ADD: i64 = 1000;
 
-    /// Aggregated hot-path measurements of one storm round.
-    struct StormStats {
-        decides: usize,
-        cas_failures: usize,
-        invokes: usize,
-        positions: usize,
-        ops: usize,
-        worst: usize,
-    }
-
-    /// Run `N × PER` fetch-and-adds under an every-announce yield storm
-    /// (plus, when `race_cas`, a yield between candidate collection and
-    /// the decide CAS, so lost decide races happen even on one core).
-    fn yield_storm_round(handles: Vec<WfHandle<Counter>>, race_cas: bool) -> StormStats {
-        failpoints::clear();
-        // Parking each thread right after it announces maximizes the
-        // window in which its op is pending: the scheduler runs someone
-        // else, whose next decide sees a backlog.
-        failpoints::configure(
-            "universal::announced",
-            FailpointConfig {
-                action: FaultAction::Yield,
-                fire: Fire::Always,
-                tid: None,
-                budget: None,
-            },
-        );
-        if race_cas {
-            failpoints::configure(
-                "universal::cas",
-                FailpointConfig {
-                    action: FaultAction::Yield,
-                    fire: Fire::Always,
-                    tid: None,
-                    budget: None,
-                },
-            );
-        }
-
-        let handles: Arc<Vec<Mutex<Option<WfHandle<Counter>>>>> =
-            Arc::new(handles.into_iter().map(|h| Mutex::new(Some(h))).collect());
-        let group = {
-            let handles = Arc::clone(&handles);
-            spawn_workers(N, move |tid| {
-                let mut h = handles[tid].lock().unwrap().take().unwrap();
-                for _ in 0..PER {
-                    h.invoke(CounterOp::FetchAndAdd(1));
+    #[test]
+    fn crashed_announcer_is_helped_within_n_survivor_invokes() {
+        let _guard = failpoints::exclusive();
+        silence_crash_panics();
+        for slots in 2..=4usize {
+            for warmup in 0..2 * slots {
+                failpoints::clear();
+                let obj = WfUniversal::new_dynamic(Counter::new(0), 64);
+                let mut crashed = obj.register();
+                let mut survivor = obj.register();
+                // Idle peers only widen the rotation: `n()` counts them.
+                let idle: Vec<_> = (2..slots).map(|_| obj.register()).collect();
+                for _ in 0..warmup {
+                    survivor.invoke(CounterOp::Add(1));
                 }
-                h
-            })
-        };
-        assert!(group.await_finished(N, Duration::from_secs(120)), "storm round hung");
-        let finished: Vec<WfHandle<Counter>> = group
-            .finish()
-            .into_iter()
-            .map(|o| o.completed().expect("no faults injected beyond yields"))
-            .collect();
-        failpoints::clear();
 
-        StormStats {
-            decides: finished.iter().map(|h| h.decides()).sum(),
-            cas_failures: finished.iter().map(|h| h.cas_failures()).sum(),
-            invokes: finished.iter().map(|h| h.invokes()).sum(),
-            positions: finished[0].decided_batches().len(),
-            ops: finished[0].decided_log().len(),
-            worst: finished.iter().map(|h| h.max_threading_steps()).max().unwrap(),
+                // Crash right after the announce is published: the op
+                // is helpable and unthreaded, and the client is gone.
+                failpoints::configure(
+                    "universal::announced",
+                    FailpointConfig {
+                        action: FaultAction::Crash,
+                        fire: Fire::Nth(1),
+                        tid: None,
+                        budget: Some(1),
+                    },
+                );
+                let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    crashed.invoke(CounterOp::Add(CRASHED_ADD))
+                }));
+                failpoints::clear();
+                assert!(died.is_err(), "the planned crash fires inside the invoke");
+                let victim = (crashed.tid(), 0);
+                drop(crashed);
+
+                let n = survivor.n();
+                assert_eq!(n, slots);
+                for _ in 0..n {
+                    survivor.invoke(CounterOp::Add(1));
+                }
+                let log = survivor.decided_log();
+                let copies = log.iter().filter(|&&e| e == victim).count();
+                assert_eq!(
+                    copies, 1,
+                    "n = {n}, warm-up {warmup}: the crashed op is threaded exactly once \
+                     within n survivor invokes; log {log:?}"
+                );
+                let expect = (warmup + n) as i64 + CRASHED_ADD;
+                assert_eq!(
+                    survivor.invoke(CounterOp::Get),
+                    CounterResp::Value(expect),
+                    "n = {n}, warm-up {warmup}: the crashed op is counted once"
+                );
+                drop(idle);
+            }
         }
-    }
-
-    #[test]
-    fn combining_amortizes_decides_under_full_contention() {
-        let _guard = failpoints::exclusive();
-
-        let b = yield_storm_round(WfUniversal::new(Counter::new(0), N, PER), false);
-        let p = yield_storm_round(WfUniversal::new_per_op(Counter::new(0), N, PER), false);
-
-        assert_eq!(b.invokes, N * PER);
-        assert_eq!(p.invokes, N * PER);
-
-        // The measured numbers EXPERIMENTS.md quotes (run with
-        // `--nocapture` to see them).
-        let b_rate = b.decides as f64 / b.invokes as f64;
-        let p_rate = p.decides as f64 / p.invokes as f64;
-        println!(
-            "storm n={N} per={PER}: batched decides/op {b_rate:.3} ({} positions, \
-             {} CAS failures) vs per-op {p_rate:.3} ({} positions, {} CAS failures)",
-            b.positions, b.cas_failures, p.positions, p.cas_failures,
-        );
-
-        // The worst case must not loosen: same O(n) bound either mode.
-        assert!(b.worst <= 2 * N + 8, "batched worst case {} exceeds 2n+8", b.worst);
-        assert!(p.worst <= 2 * N + 8, "per-op worst case {} exceeds 2n+8", p.worst);
-
-        // Per-op: one decided position per completed op, at minimum
-        // (duplicates from helping can only add positions).
-        assert!(
-            p.positions >= N * PER,
-            "per-op consumed {} positions for {} ops",
-            p.positions,
-            N * PER
-        );
-
-        // Batched: combining genuinely happened — strictly fewer
-        // positions than ops — and the amortized decide count per
-        // completed op is O(1) with a constant under 1, not the per-op
-        // path's ≥ 1. The storm keeps backlogs non-empty, so in
-        // practice positions land well below half the op count; the
-        // asserted bounds are loose enough to be scheduler-proof.
-        assert!(
-            b.positions < b.ops,
-            "yield storm produced no multi-op batch ({} positions, {} ops)",
-            b.positions,
-            b.ops
-        );
-        assert!(
-            b.positions < p.positions,
-            "batched did not consume fewer positions ({} vs {})",
-            b.positions,
-            p.positions
-        );
-        assert!(
-            b_rate < 1.0,
-            "batched decides/invoke {b_rate:.3} not amortized below one decide per op"
-        );
-        assert!(
-            b_rate < p_rate,
-            "batched decides/invoke {b_rate:.3} not below per-op {p_rate:.3}"
-        );
-        // Fewer decides also means fewer lost races: combining must not
-        // *increase* the CAS-failure count under the same storm.
-        assert!(
-            b.cas_failures <= p.cas_failures,
-            "batched CAS failures {} exceed per-op {}",
-            b.cas_failures,
-            p.cas_failures
-        );
-    }
-
-    /// The announce-only storm never loses a CAS on a single core (each
-    /// decide runs to completion between yields), so this round also
-    /// parks every thread *between* collecting its candidate and the
-    /// decide CAS: whoever yields there can resume to find the position
-    /// already taken. Lost decide races become observable, and
-    /// combining — deciding once per batch instead of once per op —
-    /// must lose no more of them than the per-op discipline under the
-    /// identical storm.
-    #[test]
-    fn combining_loses_no_more_cas_races_under_a_decide_race_storm() {
-        let _guard = failpoints::exclusive();
-
-        let b = yield_storm_round(WfUniversal::new(Counter::new(0), N, PER), true);
-        let p = yield_storm_round(WfUniversal::new_per_op(Counter::new(0), N, PER), true);
-
-        assert_eq!(b.invokes, N * PER);
-        assert_eq!(p.invokes, N * PER);
-        println!(
-            "race storm n={N} per={PER}: batched {} CAS failures over {} decides \
-             ({} positions) vs per-op {} CAS failures over {} decides ({} positions)",
-            b.cas_failures, b.decides, b.positions, p.cas_failures, p.decides, p.positions,
-        );
-
-        // The O(n) bound holds with adversarial yields at both sites.
-        assert!(b.worst <= 2 * N + 8, "batched worst case {} exceeds 2n+8", b.worst);
-        assert!(p.worst <= 2 * N + 8, "per-op worst case {} exceeds 2n+8", p.worst);
-
-        // Combining still collapses positions under this storm too.
-        assert!(
-            b.positions < p.positions,
-            "batched did not consume fewer positions ({} vs {})",
-            b.positions,
-            p.positions
-        );
-        assert!(
-            b.cas_failures <= p.cas_failures,
-            "batched lost more CAS races than per-op ({} vs {})",
-            b.cas_failures,
-            p.cas_failures
-        );
     }
 }

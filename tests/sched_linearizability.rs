@@ -4,9 +4,9 @@
 //! (DESIGN.md, "Three validation tiers").
 //!
 //! * Seed campaigns: ≥ 1000 random-walk and ≥ 1000 PCT schedules per
-//!   object over the universal constructions (both decide modes: batch
-//!   combining and per-op), the typed wrappers riding the combining
-//!   path, the Herlihy–Wing FAA queue and the lock-free baselines,
+//!   object over the universal construction (unbounded, checkpointed
+//!   and under churn), the typed wrappers built on it, the
+//!   Herlihy–Wing FAA queue and the lock-free baselines,
 //!   every history checked against its sequential specification.
 //! * A deliberately broken consensus object (the decide CAS downgraded
 //!   to a load followed by a store) whose agreement violation must be
@@ -45,7 +45,6 @@ use waitfree::sync::consensus::UsizeConsensus;
 use waitfree::sync::faa_queue::FaaQueue;
 use waitfree::sync::lockfree::{MsQueue, TreiberStack};
 use waitfree::sync::universal::WfUniversal;
-use waitfree::sync::universal_cell::CellUniversal;
 use waitfree::sync::wrappers::{
     WfCounterHandle, WfQueueHandle, WfRegisterHandle, WfStackHandle,
 };
@@ -163,50 +162,10 @@ fn universal_counter_body(rec: HistoryRecorder<Counter>) {
     }
 }
 
-fn cell_universal_counter_body(rec: HistoryRecorder<Counter>) {
-    let handles = CellUniversal::new(Counter::new(0), 2, 8);
-    let workers: Vec<_> = handles
-        .into_iter()
-        .map(|mut h| {
-            let rec = rec.clone();
-            vthread::spawn(move || {
-                let pid = Pid(h.tid());
-                for i in 0..2 {
-                    let op = CounterOp::FetchAndAdd((10 * h.tid() + i + 1) as i64);
-                    rec.record(pid, op.clone(), || h.invoke(op.clone()));
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap();
-    }
-}
-
-fn per_op_universal_counter_body(rec: HistoryRecorder<Counter>) {
-    let handles = WfUniversal::new_per_op(Counter::new(0), 2, 8);
-    let workers: Vec<_> = handles
-        .into_iter()
-        .map(|mut h| {
-            let rec = rec.clone();
-            vthread::spawn(move || {
-                let pid = Pid(h.tid());
-                for i in 0..2 {
-                    let op = CounterOp::FetchAndAdd((10 * h.tid() + i + 1) as i64);
-                    rec.record(pid, op.clone(), || h.invoke(op.clone()));
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap();
-    }
-}
-
-// The typed wrappers (`waitfree::sync::wrappers`) ride the combining
-// path — `create` builds `WfUniversal::new`, the batched default — so
-// these campaigns double as batched-path coverage for every object
-// class the paper's universality theorem promises.
+// The typed wrappers (`waitfree::sync::wrappers`) are built on
+// `WfUniversal::new`, so these campaigns double as universal-object
+// coverage for every object class the paper's universality theorem
+// promises.
 
 fn wf_queue_body(rec: HistoryRecorder<FifoQueue>) {
     let handles = WfQueueHandle::create(2, 8);
@@ -497,7 +456,7 @@ fn ms_queue_body(rec: HistoryRecorder<FifoQueue>) {
 /// exercise the observer loads. Built for the coverage test below —
 /// the short campaign bodies never fill a segment.
 fn universal_log_growth_body(rec: HistoryRecorder<Counter>) {
-    let obj = WfUniversal::new_dynamic_per_op(Counter::new(0), 96);
+    let obj = WfUniversal::new_dynamic(Counter::new(0), 96);
     let workers: Vec<_> = (0..2)
         .map(|t| {
             let (obj, rec) = (obj.clone(), rec.clone());
@@ -631,10 +590,10 @@ fn checkpointed_reader_body(rec: HistoryRecorder<Counter>) {
 /// Registry growth past `REGISTRY_SEGMENT` (8): two workers register
 /// five handles each and keep them live, so slot indices reach 9 and
 /// one worker installs the second registry segment while the other's
-/// slot walks (`reg_slot`, `for_each_slot`, `pending_range`) acquire
-/// from the install — and when both cross the boundary concurrently,
-/// the loser's install CAS acquires the winner's. Combining mode, so
-/// the collect path walks every registered slot.
+/// slot walks (`reg_slot`, `for_each_slot`) acquire from the install —
+/// and when both cross the boundary concurrently, the loser's install
+/// CAS acquires the winner's. Each position reads its preferred slot,
+/// so the threading loop reaches slots on both registry segments.
 fn universal_registry_growth_body(rec: HistoryRecorder<Counter>) {
     let obj = WfUniversal::new_dynamic(Counter::new(0), 16);
     let workers: Vec<_> = (0..2)
@@ -650,7 +609,7 @@ fn universal_registry_growth_body(rec: HistoryRecorder<Counter>) {
                     handles.push(h); // stays live: indices keep growing
                 }
                 // One more op with all ten slots live, so the
-                // combining collect walks the full grown registry.
+                // preferred-slot rotation spans the full grown registry.
                 let h = handles.last_mut().unwrap();
                 let op = CounterOp::FetchAndAdd(1);
                 rec.record(pid, op.clone(), || h.invoke(op.clone()));
@@ -700,24 +659,6 @@ fn checkpointed_universal_campaigns_linearize() {
         "WfUniversal<Counter> (checkpointed churn)",
         &Counter::new(0),
         checkpointed_universal_counter_body,
-    );
-}
-
-#[test]
-fn cell_universal_counter_campaigns_linearize() {
-    sweep(
-        "CellUniversal<Counter>",
-        &Counter::new(0),
-        cell_universal_counter_body,
-    );
-}
-
-#[test]
-fn per_op_universal_counter_campaigns_linearize() {
-    sweep(
-        "WfUniversal<Counter> (per-op)",
-        &Counter::new(0),
-        per_op_universal_counter_body,
     );
 }
 
@@ -859,54 +800,6 @@ fn checkpointed_schedules_satisfy_happens_before() {
     }
 }
 
-/// The combining layer is not dead code under the schedule explorer:
-/// some random-walk interleaving parks one thread between announce and
-/// decide long enough for the other's collect scan to pick both ops up,
-/// and the decided log then shows strictly fewer positions than
-/// operations. (Every schedule must also flatten to a log that carries
-/// all four operations exactly once here — no contention, no crashes.)
-#[test]
-fn some_schedule_forms_a_multi_op_batch() {
-    let mut witnessed = false;
-    for seed in 0..SEEDS {
-        let out: Arc<Mutex<Option<(usize, usize)>>> = Arc::new(Mutex::new(None));
-        let sink = Arc::clone(&out);
-        let res = run(
-            waitfree::sched::RandomWalk::new(seed),
-            RunOptions::default(),
-            move || {
-                let handles = WfUniversal::new(Counter::new(0), 2, 8);
-                let workers: Vec<_> = handles
-                    .into_iter()
-                    .map(|mut h| {
-                        vthread::spawn(move || {
-                            for i in 0..2 {
-                                h.invoke(CounterOp::FetchAndAdd((10 * h.tid() + i + 1) as i64));
-                            }
-                            h
-                        })
-                    })
-                    .collect();
-                let hs: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-                *sink.lock().unwrap() =
-                    Some((hs[0].decided_batches().len(), hs[0].decided_log().len()));
-            },
-        );
-        assert!(res.error.is_none(), "seed {seed}: {:?}", res.error);
-        let (positions, ops) = out.lock().unwrap().take().unwrap();
-        assert_eq!(ops, 4, "seed {seed}: flattened log carries every op once");
-        assert!(positions <= ops);
-        if positions < ops {
-            witnessed = true;
-            break;
-        }
-    }
-    assert!(
-        witnessed,
-        "no random-walk schedule in {SEEDS} seeds ever combined two ops into one decide"
-    );
-}
-
 #[test]
 fn faa_queue_campaigns_linearize() {
     sweep("FaaQueue", &FifoQueue::new(), faa_queue_body);
@@ -935,9 +828,9 @@ fn declared_sync_pairs_are_exercised_by_campaigns() {
     let contract = ordering_contract();
     let mut exercised = BTreeSet::new();
     exercised.extend(sweep_exercising(
-        "WfUniversal<Counter> (per-op)",
+        "WfUniversal<Counter>",
         &Counter::new(0),
-        per_op_universal_counter_body,
+        universal_counter_body,
     ));
     exercised.extend(sweep_exercising(
         "WfUniversal<Counter> (churn)",

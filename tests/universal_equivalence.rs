@@ -117,17 +117,14 @@ fn log_front_end_and_consensus_cons_both_linearize_concurrently() {
 }
 
 /// Satellite of the `sched` tier: under *identical* operation-level
-/// schedules, the pointer-CAS universal object (in both decide modes —
-/// batch combining and per-op) and the consensus-cell rendering must
-/// decide the same flattened log and return the same responses, seed
-/// for seed. [`OpRandom`](waitfree::sched::OpRandom) never preempts at
-/// an atomic point and consumes no randomness there, so its decision
-/// sequence depends only on the operation structure (spawn/yield/block/
-/// exit), which all three implementations share — the schedules are
-/// comparable even though the hot paths execute different numbers of
-/// atomic instructions. (`decided_log` flattens batch entries, so the
-/// comparison is shape-independent by construction; see
-/// DESIGN.md, "Batch combining".)
+/// schedules, the universal object with and without checkpointed
+/// truncation must decide the same ops in the same order and return the
+/// same responses, seed for seed.
+/// [`OpRandom`](waitfree::sched::OpRandom) never preempts at an atomic
+/// point and consumes no randomness there, so its decision sequence
+/// depends only on the operation structure (spawn/yield/block/exit),
+/// which both configurations share — the schedules are comparable even
+/// though checkpointing executes extra atomic instructions.
 #[cfg(feature = "sched")]
 mod sched_equivalence {
     use std::sync::{Arc, Mutex};
@@ -136,41 +133,9 @@ mod sched_equivalence {
     use waitfree::sched::thread as vthread;
     use waitfree::sched::{run, OpRandom, RunOptions};
     use waitfree::sync::universal::{WfHandle, WfUniversal};
-    use waitfree::sync::universal_cell::{CellHandle, CellUniversal};
 
     const THREADS: usize = 2;
     const OPS: usize = 3;
-
-    /// The common surface of the two universal-object handles.
-    trait Handle: Send + 'static {
-        fn tid(&self) -> usize;
-        fn invoke(&mut self, op: CounterOp) -> CounterResp;
-        fn decided_log(&self) -> Vec<(usize, usize)>;
-    }
-
-    impl Handle for WfHandle<Counter> {
-        fn tid(&self) -> usize {
-            WfHandle::tid(self)
-        }
-        fn invoke(&mut self, op: CounterOp) -> CounterResp {
-            WfHandle::invoke(self, op)
-        }
-        fn decided_log(&self) -> Vec<(usize, usize)> {
-            WfHandle::decided_log(self)
-        }
-    }
-
-    impl Handle for CellHandle<Counter> {
-        fn tid(&self) -> usize {
-            CellHandle::tid(self)
-        }
-        fn invoke(&mut self, op: CounterOp) -> CounterResp {
-            CellHandle::invoke(self, op)
-        }
-        fn decided_log(&self) -> Vec<(usize, usize)> {
-            CellHandle::decided_log(self)
-        }
-    }
 
     /// Per-tid responses plus the decided log of one scheduled run.
     type Out = (Vec<(usize, Vec<CounterResp>)>, Vec<(usize, usize)>);
@@ -178,7 +143,7 @@ mod sched_equivalence {
     /// One scheduled run: every handle's thread interleaves `OPS`
     /// fetch-and-adds (with a yield after each, the operation-level
     /// schedule points). Returns per-tid responses and the decided log.
-    fn drive<H: Handle>(handles: Vec<H>, seed: u64) -> Out {
+    fn drive(handles: Vec<WfHandle<Counter>>, seed: u64) -> Out {
         let out: Arc<Mutex<Option<Out>>> = Arc::new(Mutex::new(None));
         let sink = Arc::clone(&out);
         let res = run(OpRandom::new(seed), RunOptions::default(), move || {
@@ -214,26 +179,12 @@ mod sched_equivalence {
         r
     }
 
-    #[test]
-    fn cell_and_pointer_universal_agree_under_identical_schedules() {
-        for seed in 0..64 {
-            let batched = drive(WfUniversal::new(Counter::new(0), THREADS, 16), seed);
-            let per_op = drive(WfUniversal::new_per_op(Counter::new(0), THREADS, 16), seed);
-            let cell = drive(CellUniversal::new(Counter::new(0), THREADS, 16), seed);
-            assert_eq!(batched.0, cell.0, "batched responses diverged at seed {seed}");
-            assert_eq!(per_op.0, cell.0, "per-op responses diverged at seed {seed}");
-            assert_eq!(batched.1, cell.1, "batched decided log diverged at seed {seed}");
-            assert_eq!(per_op.1, cell.1, "per-op decided log diverged at seed {seed}");
-            assert_eq!(cell.1.len(), THREADS * OPS, "all ops decided at seed {seed}");
-        }
-    }
-
     /// Checkpointed-vs-unbounded equivalence under identical schedules:
     /// an aggressive cadence (a checkpoint attempt every 2 positions)
     /// interleaves checkpoint decides among the op decides, but the
     /// responses must match the unbounded object's seed for seed, and
-    /// the flattened decided log — checkpoints contribute no members —
-    /// must carry the same ops in the same order. (At this scale no
+    /// the decided log — checkpoints contribute no entries — must carry
+    /// the same ops in the same order. (At this scale no
     /// segment falls behind the reclaim bound, so the retained prefix
     /// is the whole log and the comparison is exact; truncation of
     /// *state* is exercised, truncation of *memory* is covered by
@@ -246,6 +197,7 @@ mod sched_equivalence {
                 drive(WfUniversal::new_checkpointed(Counter::new(0), THREADS, 16, 2), seed);
             assert_eq!(cp.0, unbounded.0, "checkpointed responses diverged at seed {seed}");
             assert_eq!(cp.1, unbounded.1, "checkpointed op order diverged at seed {seed}");
+            assert_eq!(unbounded.1.len(), THREADS * OPS, "all ops decided at seed {seed}");
         }
     }
 }
